@@ -147,29 +147,6 @@ def resolve_overlaps(frames: list[LoRaFrame], capture_threshold_db: float) -> Lo
     return best
 
 
-def cad_transmit_time(
-    desired_time: float,
-    busy_intervals: list[tuple[float, float]],
-    rng: np.random.Generator,
-    cad_max_backoff_ms: float = 2000.0,
-    recheck_ms: float = 100.0,
-) -> float:
-    """Transmit instant chosen by the CAD back-off rule against a fixed channel.
-
-    The device first waits a uniform random delay in [0, cad_max_backoff_ms),
-    then senses the channel; while the candidate instant lies inside a busy
-    interval it advances by ``recheck_ms``.  Intervals are half-open [a, b).
-    """
-    t = desired_time + float(rng.uniform(0.0, cad_max_backoff_ms))
-    while True:
-        for a, b in busy_intervals:
-            if a <= t < b:
-                t += recheck_ms
-                break
-        else:
-            return t
-
-
 def _group_overlaps(frames: list[LoRaFrame]) -> list[list[LoRaFrame]]:
     """Maximal transitive groups of time-overlapping frames (half-open intervals)."""
     groups: list[list[LoRaFrame]] = []

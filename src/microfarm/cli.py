@@ -172,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(MODEL_KINDS),
         help=f"comma-separated model kinds (default {','.join(MODEL_KINDS)})",
     )
-    p.add_argument(
-        "--timing-strict",
-        action="store_true",
-        help="keep timing cells unshared; cells already run strictly one at a time",
-    )
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

@@ -11,6 +11,7 @@ permuting label columns permutes predictions and nothing else.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +41,7 @@ DEFAULT_HYPERPARAMS = {
 # follows data density instead of the raw feature span.
 HISTOGRAM_BINS = 256
 
-MODEL_FORMAT = "microfarm-model/1"
+MODEL_FORMAT = "microfarm-model/2"
 
 
 class DataError(ValueError):
@@ -114,18 +115,15 @@ def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[
 # regression trees on pre-binned features
 
 
-def _quantile_edges(x: np.ndarray, bins: int = HISTOGRAM_BINS) -> list[np.ndarray]:
-    """Per-feature candidate split thresholds at evenly spaced quantiles."""
-    qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    return [np.unique(np.quantile(x[:, f], qs)) for f in range(x.shape[1])]
+def _binned(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-feature split thresholds at evenly spaced quantiles, and each value's bin.
 
-
-def _bin_columns(x: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
-    # bin(v) <= b exactly when v <= edges[b], matching the x <= thr predicate
-    out = np.empty(x.shape, dtype=np.int64)
-    for f, e in enumerate(edges):
-        out[:, f] = np.searchsorted(e, x[:, f], side="left")
-    return out
+    bin(v) <= b exactly when v <= edges[b], matching the x <= thr predicate.
+    """
+    qs = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)[1:-1]
+    edges = [np.unique(np.quantile(x[:, f], qs)) for f in range(x.shape[1])]
+    bins = np.column_stack([np.searchsorted(e, x[:, f], side="left") for f, e in enumerate(edges)])
+    return bins, edges
 
 
 def _grow_tree(
@@ -219,17 +217,59 @@ def _grow_tree(
     }
 
 
-def _tree_predict(tree: dict, x: np.ndarray) -> np.ndarray:
-    feature, threshold = tree["feature"], tree["threshold"]
-    left, right = tree["left"], tree["right"]
-    node = np.zeros(x.shape[0], dtype=np.int64)
-    rows = np.flatnonzero(feature[node] >= 0)
-    while rows.size:
-        at = node[rows]
-        go_left = x[rows, feature[at]] <= threshold[at]
-        node[rows] = np.where(go_left, left[at], right[at])
-        rows = rows[feature[node[rows]] >= 0]
-    return tree["value"][node]
+def _pack(trees: list[dict], bias: np.ndarray, scale: float, divisor: float) -> dict:
+    """One packed ensemble from trees grouped by plant, each plant's in fit order.
+
+    The node arrays of all trees are concatenated with children rebased to
+    global indices, and ``roots`` holds each tree's first node.  A plant's
+    score is (bias + scale * sum of its trees' leaf values) / divisor.
+    """
+    sizes = [t["feature"].size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    ens = {key: np.concatenate([t[key] for t in trees]) for key in trees[0]}
+    offset = np.repeat(roots, sizes)
+    for key in ("left", "right"):
+        ens[key] = np.where(ens[key] >= 0, ens[key] + offset, -1)
+    ens.update(roots=roots, bias=bias, scale=np.float64(scale), divisor=np.float64(divisor))
+    return ens
+
+
+# Rows per walk are capped so that about this many (tree, row) pairs descend
+# at once, which bounds the walk's memory on large batches.
+_WALK_PAIRS = 1 << 18
+
+
+def _ensemble_scores(ens: dict, xs: np.ndarray) -> np.ndarray:
+    """Scores (rows x plants) of a packed ensemble, bit-identical to tree-by-tree sums.
+
+    For a block of rows, all (tree, row) pairs descend together, one
+    vectorised step per depth level, until each reaches a leaf.  With divisor
+    1 (one tree per plant, or boosting) the leaf values are then summed in
+    tree order starting from the bias.  Otherwise (a forest's mean, bias 0
+    and scale 1) the sum is NumPy's over the trees, the reduction np.mean
+    makes, which is pairwise rather than running for a single row.
+    """
+    feature, threshold, left, right = (ens[k] for k in ("feature", "threshold", "left", "right"))
+    q, bias, trees = xs.shape[0], ens["bias"], ens["roots"].size
+    leaf = np.empty((trees, q))
+    rows = max(1, _WALK_PAIRS // trees)
+    for i in range(0, q, rows):
+        block = xs[i : i + rows]
+        node = np.repeat(ens["roots"], len(block))
+        live = np.flatnonzero(feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = block[live % len(block), feature[at]] <= threshold[at]
+            node[live] = np.where(go_left, left[at], right[at])
+            live = live[feature[node[live]] >= 0]
+        leaf[:, i : i + rows] = ens["value"][node].reshape(trees, -1)
+    leaf = leaf.reshape(bias.size, trees // bias.size, q)
+    if ens["divisor"] == 1.0:
+        acc = np.repeat(bias[:, None], q, axis=1)
+        for t in range(leaf.shape[1]):
+            acc += ens["scale"] * leaf[:, t]
+        return acc.T
+    return ((bias[:, None] + ens["scale"] * leaf.sum(axis=1)) / ens["divisor"]).T
 
 
 # ---------------------------------------------------------------------------
@@ -246,36 +286,33 @@ class TrainedModel:
     seed: int
     train_rows: int
     train_ms: float
-    train_losses: np.ndarray | None = None  # GradientBoost only, not persisted
 
     @property
     def n_plants(self) -> int:
-        if self.kind == "KNN":
-            return self.params["labels"].shape[1]
-        if self.kind == "Linear":
-            return self.params["weights"].shape[1]
-        return len(self.params["plants"])
+        # the last axis of labels, intercept and bias runs over the plants
+        key = {"KNN": "labels", "Linear": "intercept"}.get(self.kind, "bias")
+        return self.params[key].shape[-1]
 
 
 def _check_hyperparams(kind: str, hp: dict) -> dict:
+    """Defaults overlaid with hp; each value takes its default's type and is positive."""
     merged = dict(DEFAULT_HYPERPARAMS[kind])
     for key, val in hp.items():
         if key not in merged:
             raise ModelError(f"unknown hyperparameter {key!r} for kind {kind}")
         merged[key] = val
-    positive = {k: v for k, v in merged.items() if k != "bootstrap"}
-    for key, val in positive.items():
-        if not val > 0:
-            raise ModelError(f"hyperparameter {key} must be positive, got {val}")
+    for key, val in merged.items():
+        want = type(DEFAULT_HYPERPARAMS[kind][key])
+        number = {bool: bool, int: numbers.Integral, float: numbers.Real}[want]
+        ok = isinstance(val, number) and (want is bool or (not isinstance(val, bool) and val > 0))
+        if not ok:
+            what = "a bool" if want is bool else f"a positive {want.__name__}"
+            raise ModelError(f"hyperparameter {key} must be {what}, got {val}")
     return merged
 
 
 def _standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (features - mean) / std
-
-
-def _tree_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(count)
 
 
 def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = None) -> TrainedModel:
@@ -291,17 +328,18 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
     start = time.perf_counter()
     xs = _standardize(train.features, train.mean, train.std)
     y = train.labels
-    losses = None
     if kind == "KNN":
         params = {"points": xs.copy(), "labels": y.copy()}
     elif kind == "Linear":
         params = _fit_linear(xs, y, hp["ridge_lambda"])
-    elif kind == "DecisionTree":
-        params = _fit_decision_tree(xs, y, hp)
-    elif kind == "RandomForest":
-        params = _fit_forest(xs, y, hp, seed)
     else:
-        params, losses = _fit_gradient_boost(xs, y, hp)
+        bins, edges = _binned(xs)
+        if kind == "DecisionTree":
+            params = _fit_decision_tree(bins, edges, y, hp)
+        elif kind == "RandomForest":
+            params = _fit_forest(bins, edges, y, hp, seed)
+        else:
+            params = _fit_gradient_boost(bins, edges, y, hp)
     train_ms = (time.perf_counter() - start) * 1000.0
     return TrainedModel(
         kind=kind,
@@ -312,7 +350,6 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
         seed=seed,
         train_rows=train.m,
         train_ms=train_ms,
-        train_losses=losses,
     )
 
 
@@ -326,25 +363,20 @@ def _fit_linear(xs: np.ndarray, y: np.ndarray, lam: float) -> dict:
     return {"weights": coef[:f], "intercept": coef[f]}
 
 
-def _fit_decision_tree(xs: np.ndarray, y: np.ndarray, hp: dict) -> dict:
-    edges = _quantile_edges(xs)
-    bins = _bin_columns(xs, edges)
-    plants = [
+def _fit_decision_tree(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -> dict:
+    trees = [
         _grow_tree(bins, y[:, j], edges, hp["max_depth"], hp["min_leaf"])
         for j in range(y.shape[1])
     ]
-    return {"plants": plants}
+    return _pack(trees, np.zeros(y.shape[1]), 1.0, 1.0)
 
 
-def _fit_forest(xs: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
-    edges = _quantile_edges(xs)
-    bins = _bin_columns(xs, edges)
-    m = xs.shape[0]
-    seeds = _tree_seeds(seed, hp["trees"])
-    plants = []
+def _fit_forest(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict, seed: int) -> dict:
+    m = bins.shape[0]
+    seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
+    trees = []
     for j in range(y.shape[1]):
         col = y[:, j]
-        trees = []
         for t in range(hp["trees"]):
             # identical substream per tree index across plant columns
             rng = np.random.default_rng(seeds[t])
@@ -360,37 +392,33 @@ def _fit_forest(xs: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> dict:
                     n_sub=hp["feature_subsample"],
                 )
             )
-        plants.append(trees)
-    return {"plants": plants}
+    return _pack(trees, np.zeros(y.shape[1]), 1.0, hp["trees"])
 
 
-def _fit_gradient_boost(xs: np.ndarray, y: np.ndarray, hp: dict) -> tuple[dict, np.ndarray]:
-    edges = _quantile_edges(xs)
-    bins = _bin_columns(xs, edges)
+def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -> dict:
     lr = hp["learning_rate"]
     n_plants = y.shape[1]
     init = np.empty(n_plants, dtype=np.float64)
-    losses = np.empty((n_plants, hp["rounds"]), dtype=np.float64)
-    plants = []
-    step = np.empty(xs.shape[0], dtype=np.float64)
+    trees = []
+    step = np.empty(bins.shape[0], dtype=np.float64)
     for j in range(n_plants):
         # contiguous copy keeps the fit bit-identical under column permutation
         col = np.ascontiguousarray(y[:, j])
         init[j] = col.mean()
         residual = col - init[j]
-        trees = []
-        for r in range(hp["rounds"]):
-            trees.append(
-                _grow_tree(bins, residual, edges, hp["tree_depth"], 1, train_out=step)
-            )
+        for _ in range(hp["rounds"]):
+            trees.append(_grow_tree(bins, residual, edges, hp["tree_depth"], 1, train_out=step))
             residual = residual - lr * step
-            losses[j, r] = float(np.mean(residual * residual))
-        plants.append(trees)
-    return {"init": init, "plants": plants}, losses
+    return _pack(trees, init, lr, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # prediction
+
+
+def to_ratings(scores: np.ndarray) -> np.ndarray:
+    """Round continuous scores half up and clamp them to ratings 1..5."""
+    return np.clip(np.floor(scores + 0.5), RATING_MIN, RATING_MAX).astype(np.int64)
 
 
 def predict_matrix(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,31 +427,13 @@ def predict_matrix(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarra
     if features.ndim != 2 or features.shape[1] != len(FEATURE_NAMES):
         raise DataError(f"features must be q x {len(FEATURE_NAMES)}, got {features.shape}")
     xs = _standardize(features, model.mean, model.std)
-    kind, params = model.kind, model.params
-    if kind == "KNN":
-        scores = _knn_scores(xs, params, model.hyperparams["k"])
-    elif kind == "Linear":
-        scores = xs @ params["weights"] + params["intercept"]
-    elif kind == "DecisionTree":
-        scores = np.column_stack([_tree_predict(t, xs) for t in params["plants"]])
-    elif kind == "RandomForest":
-        scores = np.column_stack(
-            [
-                np.mean([_tree_predict(t, xs) for t in trees], axis=0)
-                for trees in params["plants"]
-            ]
-        )
+    if model.kind == "KNN":
+        scores = _knn_scores(xs, model.params, model.hyperparams["k"])
+    elif model.kind == "Linear":
+        scores = xs @ model.params["weights"] + model.params["intercept"]
     else:
-        lr = model.hyperparams["learning_rate"]
-        cols = []
-        for j, trees in enumerate(params["plants"]):
-            acc = np.full(xs.shape[0], params["init"][j])
-            for t in trees:
-                acc += lr * _tree_predict(t, xs)
-            cols.append(acc)
-        scores = np.column_stack(cols)
-    rounded = np.clip(np.floor(scores + 0.5), RATING_MIN, RATING_MAX).astype(np.int64)
-    return scores, rounded
+        scores = _ensemble_scores(model.params, xs)
+    return scores, to_ratings(scores)
 
 
 def _knn_scores(xs: np.ndarray, params: dict, k: int) -> np.ndarray:
@@ -467,84 +477,101 @@ def recommend_top_n(model: TrainedModel, soil: SoilProfile, n: int) -> list[tupl
 # ---------------------------------------------------------------------------
 # persistence
 
-
-def _tree_to_json(tree: dict) -> dict:
-    return {key: tree[key].tolist() for key in ("feature", "threshold", "left", "right", "value")}
-
-
-def _tree_from_json(obj: dict) -> dict:
-    return {
-        "feature": np.asarray(obj["feature"], dtype=np.int64),
-        "threshold": np.asarray(obj["threshold"], dtype=np.float64),
-        "left": np.asarray(obj["left"], dtype=np.int64),
-        "right": np.asarray(obj["right"], dtype=np.int64),
-        "value": np.asarray(obj["value"], dtype=np.float64),
-    }
+# Each array a document stores, by model family, as its shape: a named
+# dimension must agree across the family's arrays and be positive.  A tree
+# ensemble's scale and divisor are 0-d.
+_SHAPES = {
+    "KNN": {"points": ("rows", len(FEATURE_NAMES)), "labels": ("rows", "plants")},
+    "Linear": {"weights": (len(FEATURE_NAMES), "plants"), "intercept": ("plants",)},
+    "ensemble": {
+        **dict.fromkeys(("feature", "threshold", "left", "right", "value"), ("nodes",)),
+        "roots": ("trees",),
+        "bias": ("plants",),
+        "scale": (),
+        "divisor": (),
+    },
+}
+_INT_ARRAYS = ("feature", "left", "right", "roots")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Versioned JSON document; load_model(save_model(m)) predicts identically."""
-    kind, params = model.kind, model.params
-    if kind == "KNN":
-        body = {"points": params["points"].tolist(), "labels": params["labels"].tolist()}
-    elif kind == "Linear":
-        body = {"weights": params["weights"].tolist(), "intercept": params["intercept"].tolist()}
-    elif kind == "GradientBoost":
-        body = {
-            "init": params["init"].tolist(),
-            "plants": [[_tree_to_json(t) for t in trees] for trees in params["plants"]],
-        }
-    elif kind == "RandomForest":
-        body = {"plants": [[_tree_to_json(t) for t in trees] for trees in params["plants"]]}
-    else:
-        body = {"plants": [_tree_to_json(t) for t in params["plants"]]}
     doc = {
         "format": MODEL_FORMAT,
-        "kind": kind,
+        "kind": model.kind,
         "hyperparams": model.hyperparams,
         "scaling": {"mean": model.mean.tolist(), "std": model.std.tolist()},
         "seed": model.seed,
         "train_rows": model.train_rows,
-        "params": body,
+        "params": {key: val.tolist() for key, val in model.params.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
 
 
+def _require(ok, what: str) -> None:
+    if not ok:
+        raise ModelError(f"malformed model file: {what}")
+
+
+def _read_arrays(obj, shapes: dict) -> dict:
+    _require(isinstance(obj, dict), f"expected an object holding {', '.join(shapes)}")
+    sizes, out = {}, {}
+    for key, shape in shapes.items():
+        _require(key in obj, f"missing {key!r}")
+        try:
+            arr = np.asarray(obj[key], dtype=np.int64 if key in _INT_ARRAYS else np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ModelError(f"malformed model file: {key!r} is not a numeric array") from None
+        n = len(shape)
+        _require(arr.ndim == n and np.isfinite(arr).all(), f"{key!r} is not a finite {n}-d array")
+        for dim, size in zip(shape, arr.shape):
+            want = dim if isinstance(dim, int) else sizes.setdefault(dim, size)
+            _require(size == want and size > 0, f"{key!r} has {size} {dim}, expected {want}")
+        out[key] = arr
+    return out
+
+
+def _check_ensemble(p: dict) -> None:
+    """Every walk from a root ends at a leaf of the same tree, in bounds."""
+    feature, roots, nodes = p["feature"], p["roots"], p["feature"].size
+    _require(roots.size % p["bias"].size == 0, "trees do not divide evenly among plants")
+    _require(roots[0] == 0 and (np.diff(roots) > 0).all() and roots[-1] < nodes, "bad 'roots'")
+    _require(((feature >= -1) & (feature < len(FEATURE_NAMES))).all(), "feature out of range")
+    # a leaf's children are -1; any other node's lie after it, inside its tree
+    tree_end = np.repeat(np.append(roots[1:], nodes), np.diff(np.append(roots, nodes)))
+    index = np.arange(nodes)
+    for key in ("left", "right"):
+        ok = np.where(feature == -1, p[key] == -1, (p[key] > index) & (p[key] < tree_end))
+        _require(ok.all(), f"{key!r} child of node {np.argmin(ok)} is out of place")
+    _require(p["divisor"] > 0, "'divisor' must be positive")
+
+
 def load_model(path: str | Path) -> TrainedModel:
+    """Read a save_model document; anything malformed raises ModelError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ModelError(f"unsupported model format {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ModelError(f"unsupported model format {fmt!r}, expected {MODEL_FORMAT!r}")
+    for key in ("kind", "hyperparams", "scaling", "seed", "train_rows", "params"):
+        _require(key in doc, f"missing {key!r}")
     kind = doc["kind"]
     if kind not in MODEL_KINDS:
         raise ModelError(f"unknown model kind {kind!r} in file")
-    body = doc["params"]
-    if kind == "KNN":
-        params = {
-            "points": np.asarray(body["points"], dtype=np.float64),
-            "labels": np.asarray(body["labels"], dtype=np.float64),
-        }
-    elif kind == "Linear":
-        params = {
-            "weights": np.asarray(body["weights"], dtype=np.float64),
-            "intercept": np.asarray(body["intercept"], dtype=np.float64),
-        }
-    elif kind == "GradientBoost":
-        params = {
-            "init": np.asarray(body["init"], dtype=np.float64),
-            "plants": [[_tree_from_json(t) for t in trees] for trees in body["plants"]],
-        }
-    elif kind == "RandomForest":
-        params = {"plants": [[_tree_from_json(t) for t in trees] for trees in body["plants"]]}
-    else:
-        params = {"plants": [_tree_from_json(t) for t in body["plants"]]}
+    _require(isinstance(doc["hyperparams"], dict), "'hyperparams' is not an object")
+    scaling = _read_arrays(doc["scaling"], dict.fromkeys(("mean", "std"), (len(FEATURE_NAMES),)))
+    _require((scaling["std"] > 0).all(), "scaling 'std' must be positive")
+    family = kind if kind in ("KNN", "Linear") else "ensemble"
+    params = _read_arrays(doc["params"], _SHAPES[family])
+    if family == "ensemble":
+        _check_ensemble(params)
     return TrainedModel(
         kind=kind,
-        hyperparams=doc["hyperparams"],
-        mean=np.asarray(doc["scaling"]["mean"], dtype=np.float64),
-        std=np.asarray(doc["scaling"]["std"], dtype=np.float64),
+        hyperparams=_check_hyperparams(kind, doc["hyperparams"]),
+        mean=scaling["mean"],
+        std=scaling["std"],
         params=params,
         seed=doc["seed"],
         train_rows=doc["train_rows"],

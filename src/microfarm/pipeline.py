@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import DeviceConfig, ScenarioConfig, result_to_dict, run_scenario
 from .lora import LinkProfile, RadioConfig
-from .models import TrainedModel, dataset_from_soils, fit, predict, recommend_top_n, save_model
+from .models import dataset_from_soils, fit, recommend_top_n, save_model, to_ratings
 from .ratings import (
     FEATURE_HIGH,
     FEATURE_LOW,
@@ -233,14 +233,14 @@ def run_demo(
     grown_values = completed.values
     with open(out / "recommendations.jsonl", "w", encoding="utf-8") as fh:
         for count, soil in enumerate(request_soils, start=1):
-            top = recommend_top_n(model, soil, DEMO_TOP_N)
-            _, rounded = predict(model, soil)
+            # one prediction per request: rank every plant, then cut the top
+            ranking = recommend_top_n(model, soil, model.n_plants)
             fh.write(
                 json.dumps(
                     {
                         "count": count,
                         "soil": list(soil.as_array()),
-                        "top": [{"plant": j, "score": s} for j, s in top],
+                        "top": [{"plant": j, "score": s} for j, s in ranking[:DEMO_TOP_N]],
                     },
                     separators=(",", ":"),
                 )
@@ -248,6 +248,7 @@ def run_demo(
             )
             # the recommendation joins the full-ratings file the next model sees
             grown_soils.append(soil)
+            rounded = to_ratings(np.array([score for _, score in sorted(ranking)]))
             grown_values = np.vstack([grown_values, rounded[None, :]])
             if count % retrain_period == 0:
                 model = fit(

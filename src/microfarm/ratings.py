@@ -54,6 +54,9 @@ class SoilProfile:
     ph: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.ph <= 14.0:
             raise ConfigurationError(f"ph must be in [0, 14], got {self.ph}")
         for name in ("n_ppm", "p_ppm", "k_ppm"):

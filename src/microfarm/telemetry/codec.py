@@ -12,6 +12,7 @@ hundredths of a degree Celsius, pH in hundredths of a pH unit, N/P/K in ppm.
 
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass
 
@@ -77,15 +78,7 @@ class SensorReading:
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, xorout 0."""
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def encode_reading(r: SensorReading) -> bytes:

@@ -9,6 +9,7 @@ import pytest
 from microfarm import cli
 from microfarm.models import dataset_from_soils, fit, save_model
 from microfarm.ratings import generate_dataset
+from test_models import MALFORMED, write_malformed
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -195,6 +196,21 @@ def test_recommend_rejects_oversized_n(tmp_path, capsys):
     assert run("recommend", model, "--soil", 40, 50, 60, 21, 6.5, "-n", 16,
                "--out", tmp_path) != 0
     assert "n must be in 1..15" in _err_line(capsys)
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_recommend_malformed_model_fails(name, tmp_path, capsys):
+    path = write_malformed(tmp_path, name)
+    assert run("recommend", path, "--soil", 40, 50, 60, 21, 6.5, "--out", tmp_path) != 0
+    assert MALFORMED[name][1] in _err_line(capsys)
+
+
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_recommend_rejects_non_finite_soil(value, tmp_path, capsys):
+    model = _model_file(tmp_path)
+    assert run("recommend", model, "--soil", 1, 2, 3, value, 6, "--out", tmp_path) != 0
+    assert "temp_c must be finite" in _err_line(capsys)
+    assert not (tmp_path / "recommendation.json").exists()
 
 
 def test_recommend_bad_row_fails(tmp_path, capsys):

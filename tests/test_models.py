@@ -1,7 +1,11 @@
 """Per-plant regressors: fitting, prediction, persistence, ranking."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microfarm.models import (
     DEFAULT_HYPERPARAMS,
@@ -129,6 +133,12 @@ def test_unknown_hyperparams_rejected():
         fit("KNN", _dataset(20), hyperparams={"neighbors": 3})
 
 
+@pytest.mark.parametrize("k", (2.5, True, "3", 0))
+def test_hyperparams_take_the_default_type_and_are_positive(k):
+    with pytest.raises(ModelError, match="k must be a positive int"):
+        fit("KNN", _dataset(20), hyperparams={"k": k})
+
+
 def test_default_hyperparams_recorded():
     model = fit("KNN", _dataset(20))
     assert model.hyperparams == DEFAULT_HYPERPARAMS["KNN"]
@@ -181,3 +191,68 @@ def test_recommend_rejects_out_of_range_n():
     for bad in (0, 16, -2):
         with pytest.raises(ModelError):
             recommend_top_n(model, _soil(), bad)
+
+
+def _mutate(key, value):
+    def apply(doc):
+        doc["params"][key][0] = value(doc)
+
+    return apply
+
+
+# name -> (edit of a saved DecisionTree document, expected error text);
+# node 0 is the first tree's root, an internal node
+MALFORMED = {
+    "missing params": (lambda doc: doc.pop("params"), "missing 'params'"),
+    "child out of range": (_mutate("left", lambda doc: len(doc["params"]["left"]) + 5), "'left'"),
+    "self-loop child": (_mutate("left", lambda doc: 0), "'left'"),
+    "format 1": (lambda doc: doc.update(format="microfarm-model/1"), "microfarm-model/1"),
+    "text hyperparameter": (lambda doc: doc["hyperparams"].update(max_depth="12"), "max_depth"),
+}
+
+
+def write_malformed(tmp_path, name):
+    model = fit("DecisionTree", _dataset(40), seed=0)
+    assert model.params["feature"][0] >= 0
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    MALFORMED[name][0](doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_load_rejects_malformed_model(name, tmp_path):
+    path = write_malformed(tmp_path, name)
+    with pytest.raises(ModelError, match=MALFORMED[name][1]):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def boosted(tmp_path_factory):
+    """A saved GradientBoost document with several trees per plant, and a scratch path."""
+    model = fit("GradientBoost", _dataset(40), seed=0, hyperparams={"rounds": 4, "tree_depth": 2})
+    path = tmp_path_factory.mktemp("boosted") / "model.json"
+    save_model(model, path)
+    return path.read_text(), path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_survives_any_one_corrupted_index(boosted, data):
+    text, path = boosted
+    doc = json.loads(text)
+    values = doc["params"][data.draw(st.sampled_from(("feature", "left", "right")))]
+    i = data.draw(st.integers(0, len(values) - 1))
+    old = values[i]
+    values[i] = data.draw(
+        st.one_of(st.integers(-2, len(values) + 2), st.integers(-12, 12).map(lambda d: old + d))
+    )
+    path.write_text(json.dumps(doc))
+    try:
+        model = load_model(path)
+    except ModelError:
+        return
+    scores, _ = predict_matrix(model, _dataset(12, seed=3).features)
+    assert np.isfinite(scores).all()
