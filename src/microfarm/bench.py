@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +81,7 @@ def write_bench_csv(path: str | Path, rows: list[BenchRow]) -> None:
 
 
 def write_bench_json(path: str | Path, rows: list[BenchRow], seed: int) -> None:
-    doc = {
-        "seed": seed,
-        "rows": [
-            {
-                "kind": r.kind,
-                "size": r.size,
-                "accuracy": r.accuracy,
-                "mse": r.mse,
-                "train_ms": r.train_ms,
-                "infer_ms": r.infer_ms,
-            }
-            for r in rows
-        ],
-    }
+    doc = {"seed": seed, "rows": [asdict(r) for r in rows]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -19,7 +19,7 @@ seed reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -74,21 +74,6 @@ class PipelineReport:
     recommendations: int = 0
     retrain_counts: list[int] = field(default_factory=list)
     stages: tuple[str, ...] = STAGES
-
-    def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "retrain_period": self.retrain_period,
-            "stages": list(self.stages),
-            "frames_encoded": self.frames_encoded,
-            "frames_received": self.frames_received,
-            "edge_ingests": self.edge_ingests,
-            "edge_duplicates": self.edge_duplicates,
-            "cloud_records": self.cloud_records,
-            "completion_accuracy": self.completion_accuracy,
-            "recommendations": self.recommendations,
-            "retrain_counts": self.retrain_counts,
-        }
 
 
 def _child_seeds(seed: int, count: int) -> list[int]:
@@ -265,6 +250,6 @@ def run_demo(
     )
 
     with open(out / "pipeline_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_obj(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report

@@ -17,7 +17,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .edge import EdgeRecord, EdgeStore
+from .edge import EdgeRecord, EdgeStore, append_line, read_log
 
 BACKOFF_BASE_S = 0.1
 BACKOFF_FACTOR = 2.0
@@ -98,20 +98,16 @@ class InMemoryCloudSink:
 class FileCloudSink:
     """Durable sink: one append-only NDJSON log plus a dedup index.
 
-    The index is rebuilt from the log on open, so reopening never readmits
-    an envelope_id that was already stored.
+    The index is rebuilt from the log's complete lines on open, so reopening
+    never readmits an envelope_id that was already stored.  A torn last line
+    is cut off the log (see edge.read_log) and counted in ``torn_tails``.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._ids: set[tuple[int, int]] = set()
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    obj = json.loads(line)
-                    self._ids.add((obj["device_id"], obj["seq"]))
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        lines, self.torn_tails = read_log(self.path)
+        self._ids = {(obj["device_id"], obj["seq"]) for obj in map(json.loads, lines)}
 
     def send(self, envelope: CloudEnvelope) -> bool:
         if envelope.envelope_id not in self._ids:
@@ -120,8 +116,7 @@ class FileCloudSink:
                 "seq": envelope.envelope_id[1],
                 "body": envelope.body,
             }
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            append_line(self.path, json.dumps(obj, separators=(",", ":")))
             self._ids.add(envelope.envelope_id)
         return True
 

@@ -2,8 +2,11 @@
 
 One newline-delimited JSON file per device plus a small append-only sidecar
 (``forwarded.log``) marking which records have been acknowledged by the
-cloud.  Records are never rewritten in place, so reopening a store after a
-crash recovers every appended record; the sidecar replays forwarded marks.
+cloud.  Records are never rewritten in place.  Only newline-terminated
+lines count: reopening a store after a crash recovers every record whose
+line was complete, and cuts a torn last line off its log (see
+``read_log``).  The sidecar is the one record of forwarded state; the
+``forwarded`` flag of a record is read from it.
 
 Duplicate suppression: a (device_id, seq) pair repeats within the trailing
 half of the 16-bit sequence space (2^15 behind the device's newest seq) is
@@ -13,8 +16,10 @@ still appended, but flagged ``duplicate`` and never forwarded.
 from __future__ import annotations
 
 import json
+import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -26,6 +31,35 @@ DUP_WINDOW = 1 << 15
 
 class StorageError(OSError):
     """Edge store could not be read or appended."""
+
+
+def read_log(path: Path) -> tuple[list[str], int]:
+    """The complete lines of an append-only newline-delimited log.
+
+    A crash mid-append can leave an unterminated last line.  It is cut off
+    the file, so the next append starts on a fresh line.  Returns the lines
+    without their newlines and the number of torn tails cut (0 or 1).  A
+    missing file reads as empty.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        os.truncate(path, end)
+    return data[:end].decode("utf-8").split("\n")[:-1], int(end < len(data))
+
+
+def append_line(path: Path, line: str) -> None:
+    """Append ``line`` and its newline to a log with one O_APPEND write."""
+    data = memoryview((line + "\n").encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -40,46 +74,33 @@ class EdgeRecord:
     duplicate: bool = False
 
     def to_json_obj(self) -> dict:
-        r = self.reading
-        return {
-            "device_id": r.device_id,
-            "seq": r.seq,
-            "n_ppm": r.n_ppm,
-            "p_ppm": r.p_ppm,
-            "k_ppm": r.k_ppm,
-            "temp_centi_c": r.temp_centi_c,
-            "ph_centi": r.ph_centi,
-            "received_at_ms": self.received_at_ms,
-            "rssi_dbm": self.rssi_dbm,
-            "snr_db": self.snr_db,
-            "forwarded": self.forwarded,
-            "duplicate": self.duplicate,
-        }
+        obj = {name: getattr(self.reading, name) for name in _READING_FIELDS}
+        for name in _RECORD_FIELDS:
+            obj[name] = getattr(self, name)
+        return obj
 
     @staticmethod
     def from_json_obj(obj: dict) -> "EdgeRecord":
-        reading = SensorReading(
-            device_id=obj["device_id"],
-            seq=obj["seq"],
-            n_ppm=obj["n_ppm"],
-            p_ppm=obj["p_ppm"],
-            k_ppm=obj["k_ppm"],
-            temp_centi_c=obj["temp_centi_c"],
-            ph_centi=obj["ph_centi"],
-        )
-        return EdgeRecord(
-            reading=reading,
-            received_at_ms=obj["received_at_ms"],
-            rssi_dbm=obj["rssi_dbm"],
-            snr_db=obj["snr_db"],
-            forwarded=obj["forwarded"],
-            duplicate=obj["duplicate"],
-        )
+        reading = SensorReading(**{name: obj[name] for name in _READING_FIELDS})
+        return EdgeRecord(reading, **{name: obj[name] for name in _RECORD_FIELDS})
 
 
-def _seq_in_window(seq: int, anchor: int) -> bool:
-    # Half of the wrapping 16-bit space behind (and including) the anchor.
-    return (anchor - seq) % SEQ_MOD < DUP_WINDOW
+# JSON keys of a record, in log order: the reading's fields, then the rest.
+_READING_FIELDS = tuple(f.name for f in fields(SensorReading))
+_RECORD_FIELDS = tuple(f.name for f in fields(EdgeRecord) if f.name != "reading")
+
+
+def _key(rec: EdgeRecord) -> tuple[int, int]:
+    return (rec.reading.device_id, rec.reading.seq)
+
+
+def _unwrap(anchor: int, seq: int) -> int:
+    """Position of a 16-bit ``seq`` on the unwrapped axis of ``anchor``.
+
+    Up to DUP_WINDOW ahead of the anchor counts as ahead, the rest as behind.
+    """
+    ahead = (seq - anchor) % SEQ_MOD
+    return anchor + ahead if ahead <= DUP_WINDOW else anchor + ahead - SEQ_MOD
 
 
 class EdgeStore:
@@ -89,6 +110,7 @@ class EdgeStore:
     counter advancing 1 ms per ingest so tests and demo runs are
     deterministic.  Appends are serialized by an internal lock; forwarding
     passes take ``forward_lock`` (single-flight, see cloud.forward_batch).
+    ``torn_tails`` counts the logs whose torn last line was cut on open.
     """
 
     def __init__(self, root: str | Path, clock: Callable[[], float] | None = None) -> None:
@@ -101,11 +123,15 @@ class EdgeStore:
         self._clock = clock if clock is not None else self._virtual_clock
         self._write_lock = threading.Lock()
         self.forward_lock = threading.Lock()
-        self._records: list[EdgeRecord] = []
-        self._seen: dict[int, set[int]] = {}
+        self._forward_log = self.root / "forwarded.log"
+        self._records: list[EdgeRecord] = []  # as logged, forwarded=False
+        # Duplicate window: each device's newest unwrapped seq position, and
+        # the position of the last non-duplicate record of each (device, seq).
         self._anchor: dict[int, int] = {}
+        self._last_pos: dict[tuple[int, int], int] = {}
         self._last_received_at: dict[int, float] = {}
         self._forwarded_ids: set[tuple[int, int]] = set()
+        self.torn_tails = 0
         self._load()
 
     def _virtual_clock(self) -> float:
@@ -115,49 +141,38 @@ class EdgeStore:
     def _device_path(self, device_id: int) -> Path:
         return self.root / f"device_{device_id}.ndjson"
 
-    def _forward_log_path(self) -> Path:
-        return self.root / "forwarded.log"
-
     def _load(self) -> None:
-        log = self._forward_log_path()
-        if log.exists():
-            for line in log.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    dev, seq = line.split()
-                    self._forwarded_ids.add((int(dev), int(seq)))
+        lines, self.torn_tails = read_log(self._forward_log)
+        for line in lines:
+            dev, seq = line.split()
+            self._forwarded_ids.add((int(dev), int(seq)))
         for path in sorted(self.root.glob("device_*.ndjson")):
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
+            lines, torn = read_log(path)
+            self.torn_tails += torn
+            for line in lines:
                 rec = EdgeRecord.from_json_obj(json.loads(line))
-                key = (rec.reading.device_id, rec.reading.seq)
-                if key in self._forwarded_ids and not rec.duplicate:
-                    rec = replace(rec, forwarded=True)
                 self._track(rec)
                 self._records.append(rec)
 
     def _track(self, rec: EdgeRecord) -> None:
         dev, seq = rec.reading.device_id, rec.reading.seq
         if not rec.duplicate:
-            seen = self._seen.setdefault(dev, set())
-            seen.add(seq)
-            anchor = self._anchor.get(dev)
-            if anchor is None or not _seq_in_window(seq, anchor):
-                self._anchor[dev] = seq
-            # Drop seen entries that fell out of the window so a wrapped
-            # sequence number counts as fresh again.
-            anchor = self._anchor[dev]
-            seen.difference_update({s for s in seen if not _seq_in_window(s, anchor)})
+            anchor = self._anchor.get(dev, seq)
+            pos = _unwrap(anchor, seq)
+            self._anchor[dev] = max(anchor, pos)
+            self._last_pos[(dev, seq)] = pos
         prev = self._last_received_at.get(dev)
         if prev is None or rec.received_at_ms > prev:
             self._last_received_at[dev] = rec.received_at_ms
 
     def _is_duplicate(self, device_id: int, seq: int) -> bool:
-        anchor = self._anchor.get(device_id)
-        if anchor is None:
-            return False
-        seen = self._seen.get(device_id, set())
-        return seq in seen and _seq_in_window(seq, anchor)
+        last = self._last_pos.get((device_id, seq))
+        return last is not None and self._anchor[device_id] - last < DUP_WINDOW
+
+    def _view(self, rec: EdgeRecord) -> EdgeRecord:
+        if rec.duplicate or _key(rec) not in self._forwarded_ids:
+            return rec
+        return replace(rec, forwarded=True)
 
     def ingest(self, frame_payload: bytes, link: tuple[float, float]) -> EdgeRecord:
         """Decode one frame, stamp it with the edge clock, append it.
@@ -176,13 +191,11 @@ class EdgeStore:
                 received_at_ms=now,
                 rssi_dbm=float(link[0]),
                 snr_db=float(link[1]),
-                forwarded=False,
                 duplicate=self._is_duplicate(reading.device_id, reading.seq),
             )
-            line = json.dumps(rec.to_json_obj(), separators=(",", ":")) + "\n"
+            line = json.dumps(rec.to_json_obj(), separators=(",", ":"))
             try:
-                with open(self._device_path(reading.device_id), "a", encoding="utf-8") as fh:
-                    fh.write(line)
+                append_line(self._device_path(reading.device_id), line)
             except OSError as exc:
                 raise StorageError(f"append failed: {exc}") from exc
             self._track(rec)
@@ -190,43 +203,29 @@ class EdgeStore:
             return rec
 
     def records(self, device_id: int | None = None) -> list[EdgeRecord]:
-        if device_id is None:
-            return list(self._records)
-        return [r for r in self._records if r.reading.device_id == device_id]
+        return [
+            self._view(r)
+            for r in self._records
+            if device_id is None or r.reading.device_id == device_id
+        ]
 
     def unforwarded(self, limit: int | None = None) -> list[EdgeRecord]:
         """Records still owed to the cloud: not forwarded, not duplicates."""
-        out = []
-        for rec in self._records:
-            if rec.duplicate or rec.forwarded:
-                continue
-            key = (rec.reading.device_id, rec.reading.seq)
-            if key in self._forwarded_ids:
-                continue
-            out.append(rec)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        owed = (r for r in self._records if not r.duplicate and _key(r) not in self._forwarded_ids)
+        return list(islice(owed, limit))
 
     def mark_forwarded(self, device_id: int, seq: int) -> None:
         key = (device_id, seq)
         if key in self._forwarded_ids:
             return
         try:
-            with open(self._forward_log_path(), "a", encoding="utf-8") as fh:
-                fh.write(f"{device_id} {seq}\n")
+            append_line(self._forward_log, f"{device_id} {seq}")
         except OSError as exc:
             raise StorageError(f"forward mark failed: {exc}") from exc
         self._forwarded_ids.add(key)
-        self._records = [
-            replace(r, forwarded=True)
-            if (r.reading.device_id, r.reading.seq) == key and not r.duplicate
-            else r
-            for r in self._records
-        ]
 
     def __iter__(self) -> Iterator[EdgeRecord]:
-        return iter(self._records)
+        return map(self._view, self._records)
 
     def __len__(self) -> int:
         return len(self._records)
