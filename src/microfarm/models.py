@@ -118,103 +118,170 @@ def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[
 def _binned(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-feature split thresholds at evenly spaced quantiles, and each value's bin.
 
-    bin(v) <= b exactly when v <= edges[b], matching the x <= thr predicate.
+    Bins are stored feature by feature (features x rows), in the smallest
+    integer type that holds bins 0..HISTOGRAM_BINS - 1.  bin(v) <= b exactly
+    when v <= edges[b], matching the x <= thr predicate.
     """
     qs = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)[1:-1]
     edges = [np.unique(np.quantile(x[:, f], qs)) for f in range(x.shape[1])]
-    bins = np.column_stack([np.searchsorted(e, x[:, f], side="left") for f, e in enumerate(edges)])
-    return bins, edges
+    bins = np.array([np.searchsorted(e, x[:, f], side="left") for f, e in enumerate(edges)])
+    return bins.astype(np.min_scalar_type(HISTOGRAM_BINS - 1)), edges
 
 
-def _grow_tree(
+# A growth step scores its nodes in chunks of at most this many (row,
+# candidate feature) pairs and this many histogram cells, so the step's
+# temporaries stay bounded however many trees grow together.
+_STEP_CELLS = 1 << 13
+
+
+def _grow_trees(
     bins: np.ndarray,
-    y: np.ndarray,
     edges: list[np.ndarray],
+    labels: list[np.ndarray],
+    rows: list[np.ndarray],
     max_depth: int,
     min_leaf: int,
-    rng: np.random.Generator | None = None,
+    rngs: list[np.random.Generator] | None = None,
     n_sub: int | None = None,
-    train_out: np.ndarray | None = None,
-) -> dict:
-    """Greedy variance-reduction regression tree over binned features.
+    train_out: list[np.ndarray] | None = None,
+) -> list[dict]:
+    """Greedy variance-reduction regression trees over binned features, grown in lockstep.
 
-    Returns parallel node arrays; internal nodes hold a feature index and a
-    threshold (go left when x <= threshold), leaves hold feature -1.  When
-    train_out is given, leaf values are scattered back to the training rows.
+    Tree t fits labels[t] on the training rows rows[t] (repeats allowed),
+    with at least min_leaf >= 1 rows per leaf.  Returns parallel node arrays
+    per tree; internal nodes hold a feature index and a threshold (go left
+    when x <= threshold), leaves hold feature -1.  With rngs, each node that
+    may split searches n_sub features drawn from its tree's generator.  With
+    train_out, each leaf value is scattered to train_out[t] at its rows.
+
+    Every tree keeps its own depth-first order: at each step each live tree
+    pops its next node.  Node numbering, and the order in which rngs[t]
+    draws, are therefore those of growing the tree alone.  The histograms of
+    a chunk of popped nodes come from one keyed bincount for counts and one
+    for sums.  A node's rows stay in position order, so each bin adds the
+    same values in the same order as a bincount per node and feature would.
     """
-    n_features = bins.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    n_trees, n_features = len(rows), bins.shape[0]
+    draw = rngs is not None and n_sub is not None and n_sub < n_features
+    n_cand = n_sub if draw else n_features
+    # the bins of every feature are padded to the widest
+    width = max(e.size for e in edges) + 1
+    thresholds = np.zeros((n_features, width))
+    for f, e in enumerate(edges):
+        thresholds[f, : e.size] = e
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    stacks = [[(0, r, 0)] for r in rows]  # (node, rows in position order, depth)
+    n_nodes = [1] * n_trees
+    node_tree: list[int] = []
+    node_id: list[int] = []
+    node_value: list[float] = []
+    splits: list[tuple[int, int, int, int, int]] = []  # (tree, node, feature, bin, left child)
+    live = range(n_trees)
+    while live:
+        grow = []  # the popped nodes that may split: (tree, node, rows, depth, labels, total)
+        for t in live:
+            node, src, depth = stacks[t].pop()
+            sub = labels[t][src]
+            total = float(sub.sum())
+            node_tree.append(t)
+            node_id.append(node)
+            node_value.append(total / src.size)
+            if depth < max_depth and src.size >= 2 * min_leaf:
+                grow.append((t, node, src, depth, sub, total))
+            elif train_out is not None:
+                train_out[t][src] = node_value[-1]
+        for lo, hi in _chunks([g[2].size for g in grow], n_cand, width):
+            chunk = grow[lo:hi]
+            if draw:
+                # each tree draws from its own generator, once per node in its
+                # own depth-first order; any other order would draw other
+                # features for the same node and change the forest
+                cand = np.array(
+                    [np.sort(rngs[t].choice(n_features, n_sub, replace=False)) for t, *_ in chunk]
+                )
+            else:
+                cand = np.tile(np.arange(n_features), (len(chunk), 1))
+            _, _, srcs, _, subs, totals = zip(*chunk)
+            split, which, at, binned = _best_splits(srcs, subs, totals, cand, bins, width, min_leaf)
+            end = 0
+            for (t, node, src, depth, _, total), s, w, b, c in zip(chunk, split, which, at, cand):
+                side = binned[w, end : end + src.size] <= b
+                end += src.size
+                if s:
+                    splits.append((t, node, int(c[w]), b, n_nodes[t]))
+                    stacks[t].append((n_nodes[t] + 1, np.compress(~side, src), depth + 1))
+                    stacks[t].append((n_nodes[t], np.compress(side, src), depth + 1))
+                    n_nodes[t] += 2
+                elif train_out is not None:
+                    train_out[t][src] = total / src.size
+        live = [t for t in live if stacks[t]]
 
-    stack = [(new_node(), np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        sub = y[idx]
-        count = idx.size
-        total = float(sub.sum())
-        value[node] = total / count
-        if depth >= max_depth or count < 2 * min_leaf:
-            if train_out is not None:
-                train_out[idx] = value[node]
-            continue
-        if rng is not None and n_sub is not None and n_sub < n_features:
-            cand = np.sort(rng.choice(n_features, size=n_sub, replace=False))
-        else:
-            cand = range(n_features)
-        parent_score = total * total / count
-        best = None  # (score, feature, split bin)
-        for f in cand:
-            e = edges[f]
-            if e.size == 0:
-                continue
-            b = bins[idx, f]
-            cnt = np.bincount(b, minlength=e.size + 1)
-            sums = np.bincount(b, weights=sub, minlength=e.size + 1)
-            nl = np.cumsum(cnt)[:-1]
-            sl = np.cumsum(sums)[:-1]
-            nr = count - nl
-            sr = total - sl
-            ok = (nl >= min_leaf) & (nr >= min_leaf)
-            if not ok.any():
-                continue
-            score = np.where(
-                ok,
-                sl * sl / np.maximum(nl, 1) + sr * sr / np.maximum(nr, 1),
-                -np.inf,
-            )
-            pos = int(np.argmax(score))
-            if score[pos] > parent_score + 1e-12 and (best is None or score[pos] > best[0]):
-                best = (float(score[pos]), int(f), pos)
-        if best is None:
-            if train_out is not None:
-                train_out[idx] = value[node]
-            continue
-        _, f, split_bin = best
-        go_left = bins[idx, f] <= split_bin
-        feature[node] = f
-        threshold[node] = float(edges[f][split_bin])
-        lid, rid = new_node(), new_node()
-        left[node], right[node] = lid, rid
-        stack.append((rid, idx[~go_left], depth + 1))
-        stack.append((lid, idx[go_left], depth + 1))
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=np.float64),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "value": np.array(value, dtype=np.float64),
-    }
+    # per-tree node arrays; a node's children were numbered when it split
+    first = np.cumsum([0] + n_nodes)
+    value = np.empty(first[-1])
+    value[first[node_tree] + node_id] = node_value
+    feature = np.full(first[-1], -1)
+    threshold = np.zeros(first[-1])
+    left = np.full(first[-1], -1)
+    right = np.full(first[-1], -1)
+    t, node, f, b, lid = np.array(splits, dtype=np.int64).reshape(-1, 5).T
+    at = first[t] + node
+    feature[at] = f
+    threshold[at] = thresholds[f, b]
+    left[at] = lid
+    right[at] = lid + 1
+    arrays = dict(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    return [{key: arr[lo:hi] for key, arr in arrays.items()} for lo, hi in zip(first, first[1:])]
+
+
+def _chunks(sizes: list[int], n_cand: int, width: int):
+    """Runs [lo, hi) of nodes within _STEP_CELLS pairs and cells, at least one node each."""
+    per_chunk = max(1, _STEP_CELLS // (n_cand * width))
+    lo = 0
+    while lo < len(sizes):
+        hi, pairs = lo + 1, sizes[lo] * n_cand
+        while hi < len(sizes) and hi - lo < per_chunk and pairs + sizes[hi] * n_cand <= _STEP_CELLS:
+            pairs += sizes[hi] * n_cand
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _best_splits(srcs, subs, totals, cand, bins, width, min_leaf):
+    """Best split of each node over its candidate features, from one keyed histogram.
+
+    Node i has rows srcs[i], their labels subs[i] with sum totals[i], and
+    candidate features cand[i].  Returns per node whether it splits, the
+    chosen candidate's index and split bin, and the bins of the concatenated
+    node rows for each candidate (candidates x rows).  The chosen feature is
+    the first candidate whose best score is the maximum; the node splits
+    when that score beats the parent's by more than 1e-12.
+    """
+    k, n_cand = cand.shape
+    sizes = np.array([src.size for src in srcs])
+    totals = np.array(totals)
+    src = np.concatenate(srcs)
+    binned = np.take(bins, np.repeat(cand.T * bins.shape[1], sizes, axis=1) + src)
+    # key (node, candidate, bin); each key sees its node's rows in order
+    offset = (np.arange(k) * n_cand + np.arange(n_cand)[:, None]) * width
+    key = (binned + np.repeat(offset, sizes, axis=1)).ravel()
+    weights = np.tile(np.concatenate(subs), n_cand)
+    cells = k * n_cand * width
+    cnt = np.bincount(key, minlength=cells).reshape(k, n_cand, width)
+    sums = np.bincount(key, weights=weights, minlength=cells).reshape(k, n_cand, width)
+    nl = np.cumsum(cnt[:, :, :-1], axis=2).astype(np.float64)  # exact; divides faster
+    sl = np.cumsum(sums[:, :, :-1], axis=2)
+    nr = sizes[:, None, None] - nl
+    sr = totals[:, None, None] - sl
+    # a padded bin has all the node's rows on its left, so it fails min_leaf
+    ok = (nl >= min_leaf) & (nr >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where not ok
+        score = sl * sl / nl + sr * sr / nr
+    score = np.where(ok, score, -np.inf).reshape(k, -1)
+    best = score.argmax(axis=1)  # first candidate, then first bin, at the maximum
+    split = score[np.arange(k), best] > totals * totals / sizes + 1e-12
+    which, at = np.divmod(best, width - 1)
+    return split.tolist(), which.tolist(), at.tolist(), binned
 
 
 def _pack(trees: list[dict], bias: np.ndarray, scale: float, divisor: float) -> dict:
@@ -364,52 +431,54 @@ def _fit_linear(xs: np.ndarray, y: np.ndarray, lam: float) -> dict:
 
 
 def _fit_decision_tree(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -> dict:
-    trees = [
-        _grow_tree(bins, y[:, j], edges, hp["max_depth"], hp["min_leaf"])
-        for j in range(y.shape[1])
-    ]
-    return _pack(trees, np.zeros(y.shape[1]), 1.0, 1.0)
+    n_plants = y.shape[1]
+    labels = [y[:, j] for j in range(n_plants)]
+    rows = [np.arange(y.shape[0])] * n_plants
+    trees = _grow_trees(bins, edges, labels, rows, hp["max_depth"], hp["min_leaf"])
+    return _pack(trees, np.zeros(n_plants), 1.0, 1.0)
+
+
+# A forest grows its (plant, tree) jobs in groups whose bootstrap samples
+# hold at most this many rows together, which bounds the rows in flight.
+_FOREST_ROWS = 1 << 16
 
 
 def _fit_forest(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict, seed: int) -> dict:
-    m = bins.shape[0]
+    m, n_plants = y.shape
     seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
+    jobs = [(j, t) for j in range(n_plants) for t in range(hp["trees"])]
+    per_group = max(1, _FOREST_ROWS // m)
     trees = []
-    for j in range(y.shape[1]):
-        col = y[:, j]
-        for t in range(hp["trees"]):
-            # identical substream per tree index across plant columns
-            rng = np.random.default_rng(seeds[t])
-            rows = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
-            trees.append(
-                _grow_tree(
-                    bins[rows],
-                    col[rows],
-                    edges,
-                    hp["max_depth"],
-                    1,
-                    rng=rng,
-                    n_sub=hp["feature_subsample"],
-                )
-            )
-    return _pack(trees, np.zeros(y.shape[1]), 1.0, hp["trees"])
+    for first in range(0, len(jobs), per_group):
+        group = jobs[first : first + per_group]
+        # identical substream per tree index across plant columns; it draws
+        # the bootstrap rows, then each node's candidate features in the
+        # tree's depth-first order, which _grow_trees keeps per tree
+        rngs = [np.random.default_rng(seeds[t]) for _, t in group]
+        rows = [rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m) for rng in rngs]
+        rows = [r.astype(np.int32) for r in rows]  # halves the rows in flight
+        labels = [y[:, j] for j, _ in group]
+        trees += _grow_trees(
+            bins, edges, labels, rows, hp["max_depth"], 1, rngs=rngs, n_sub=hp["feature_subsample"]
+        )
+    return _pack(trees, np.zeros(n_plants), 1.0, hp["trees"])
 
 
 def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -> dict:
     lr = hp["learning_rate"]
-    n_plants = y.shape[1]
-    init = np.empty(n_plants, dtype=np.float64)
-    trees = []
-    step = np.empty(bins.shape[0], dtype=np.float64)
-    for j in range(n_plants):
-        # contiguous copy keeps the fit bit-identical under column permutation
-        col = np.ascontiguousarray(y[:, j])
-        init[j] = col.mean()
-        residual = col - init[j]
-        for _ in range(hp["rounds"]):
-            trees.append(_grow_tree(bins, residual, edges, hp["tree_depth"], 1, train_out=step))
-            residual = residual - lr * step
-    return _pack(trees, init, lr, 1.0)
+    m, n_plants = y.shape
+    # contiguous copies keep the fit bit-identical under column permutation
+    cols = [np.ascontiguousarray(y[:, j]) for j in range(n_plants)]
+    init = np.array([col.mean() for col in cols])
+    residual = np.array(cols) - init[:, None]
+    step = np.empty((n_plants, m))
+    rows = [np.arange(m)] * n_plants
+    rounds = []  # the plants' trees of one round grow together
+    for _ in range(hp["rounds"]):
+        labels, out = list(residual), list(step)
+        rounds.append(_grow_trees(bins, edges, labels, rows, hp["tree_depth"], 1, train_out=out))
+        residual = residual - lr * step
+    return _pack([grown[j] for j in range(n_plants) for grown in rounds], init, lr, 1.0)
 
 
 # ---------------------------------------------------------------------------

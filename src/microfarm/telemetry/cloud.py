@@ -106,8 +106,8 @@ class FileCloudSink:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        lines, self.torn_tails = read_log(self.path)
-        self._ids = {(obj["device_id"], obj["seq"]) for obj in map(json.loads, lines)}
+        ids, self.torn_tails = read_log(self.path, _envelope_id)
+        self._ids = set(ids)
 
     def send(self, envelope: CloudEnvelope) -> bool:
         if envelope.envelope_id not in self._ids:
@@ -125,6 +125,11 @@ class FileCloudSink:
 
     def __len__(self) -> int:
         return len(self._ids)
+
+
+def _envelope_id(line: str) -> tuple[int, int]:
+    obj = json.loads(line)
+    return obj["device_id"], obj["seq"]
 
 
 def make_envelope(record: EdgeRecord, attempt: int = 1) -> CloudEnvelope:

@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .codec import SensorReading, decode_reading
 
@@ -33,13 +33,18 @@ class StorageError(OSError):
     """Edge store could not be read or appended."""
 
 
-def read_log(path: Path) -> tuple[list[str], int]:
-    """The complete lines of an append-only newline-delimited log.
+T = TypeVar("T")
+
+
+def read_log(path: Path, parse: Callable[[str], T]) -> tuple[list[T], int]:
+    """The parsed complete lines of an append-only newline-delimited log.
 
     A crash mid-append can leave an unterminated last line.  It is cut off
-    the file, so the next append starts on a fresh line.  Returns the lines
-    without their newlines and the number of torn tails cut (0 or 1).  A
-    missing file reads as empty.
+    the file, so the next append starts on a fresh line.  Returns
+    ``parse(line)`` for each complete line, without its newline, and the
+    number of torn tails cut (0 or 1).  A missing file reads as empty.  A
+    complete line that is not UTF-8 or that ``parse`` rejects (ValueError,
+    KeyError or TypeError) raises StorageError naming the file and line.
     """
     try:
         data = path.read_bytes()
@@ -48,7 +53,14 @@ def read_log(path: Path) -> tuple[list[str], int]:
     end = data.rfind(b"\n") + 1
     if end < len(data):
         os.truncate(path, end)
-    return data[:end].decode("utf-8").split("\n")[:-1], int(end < len(data))
+    parsed = []
+    for number, raw in enumerate(data[:end].split(b"\n")[:-1], start=1):
+        try:
+            parsed.append(parse(raw.decode("utf-8")))
+        except (ValueError, KeyError, TypeError) as exc:
+            what = f"{path} line {number}: unreadable record {raw[:60]!r}"
+            raise StorageError(f"{what} ({exc})") from exc
+    return parsed, int(end < len(data))
 
 
 def append_line(path: Path, line: str) -> None:
@@ -88,6 +100,15 @@ class EdgeRecord:
 # JSON keys of a record, in log order: the reading's fields, then the rest.
 _READING_FIELDS = tuple(f.name for f in fields(SensorReading))
 _RECORD_FIELDS = tuple(f.name for f in fields(EdgeRecord) if f.name != "reading")
+
+
+def _parse_record(line: str) -> EdgeRecord:
+    return EdgeRecord.from_json_obj(json.loads(line))
+
+
+def _forward_id(line: str) -> tuple[int, int]:
+    dev, seq = line.split()
+    return int(dev), int(seq)
 
 
 def _key(rec: EdgeRecord) -> tuple[int, int]:
@@ -142,15 +163,12 @@ class EdgeStore:
         return self.root / f"device_{device_id}.ndjson"
 
     def _load(self) -> None:
-        lines, self.torn_tails = read_log(self._forward_log)
-        for line in lines:
-            dev, seq = line.split()
-            self._forwarded_ids.add((int(dev), int(seq)))
+        ids, self.torn_tails = read_log(self._forward_log, _forward_id)
+        self._forwarded_ids.update(ids)
         for path in sorted(self.root.glob("device_*.ndjson")):
-            lines, torn = read_log(path)
+            records, torn = read_log(path, _parse_record)
             self.torn_tails += torn
-            for line in lines:
-                rec = EdgeRecord.from_json_obj(json.loads(line))
+            for rec in records:
                 self._track(rec)
                 self._records.append(rec)
 

@@ -1,12 +1,15 @@
 """Per-plant regressors: fitting, prediction, persistence, ranking."""
 
+import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microfarm import models
 from microfarm.models import (
     DEFAULT_HYPERPARAMS,
     MODEL_KINDS,
@@ -89,11 +92,13 @@ def test_plant_columns_are_independent():
     train, test = split(_dataset(50), seed=4)
     perm = np.random.default_rng(0).permutation(train.labels.shape[1])
     permuted = Dataset(features=train.features, labels=train.labels[:, perm])
-    base = fit("RandomForest", train, seed=7)
-    swapped = fit("RandomForest", permuted, seed=7)
-    sa, _ = predict_matrix(base, test.features)
-    sb, _ = predict_matrix(swapped, test.features)
-    assert np.allclose(sa[:, perm], sb)
+    # every plant's trees grow in one shared histogram, so a leak would show
+    for kind in ("DecisionTree", "RandomForest", "GradientBoost"):
+        base = fit(kind, train, seed=7)
+        swapped = fit(kind, permuted, seed=7)
+        sa, _ = predict_matrix(base, test.features)
+        sb, _ = predict_matrix(swapped, test.features)
+        assert np.array_equal(sa[:, perm], sb), kind
 
 
 def test_knn_feature_scaling_invariance():
@@ -256,3 +261,238 @@ def test_load_survives_any_one_corrupted_index(boosted, data):
         return
     scores, _ = predict_matrix(model, _dataset(12, seed=3).features)
     assert np.isfinite(scores).all()
+
+
+# --- tree growth against the one-tree-at-a-time reference ---------------------
+
+
+def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=None, train_out=None):
+    """One greedy variance-reduction tree, node by node; bins is rows x features.
+
+    The reference for _grow_trees: every tree it grows, in any batch, must
+    equal this one bit for bit.
+    """
+    n_features = bins.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for arr, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            arr.append(v)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(len(y)), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        sub = y[idx]
+        count = idx.size
+        total = float(sub.sum())
+        value[node] = total / count
+        if depth >= max_depth or count < 2 * min_leaf:
+            if train_out is not None:
+                train_out[idx] = value[node]
+            continue
+        if rng is not None and n_sub is not None and n_sub < n_features:
+            cand = np.sort(rng.choice(n_features, size=n_sub, replace=False))
+        else:
+            cand = range(n_features)
+        parent_score = total * total / count
+        best = None  # (score, feature, split bin)
+        for f in cand:
+            e = edges[f]
+            if e.size == 0:
+                continue
+            b = bins[idx, f]
+            cnt = np.bincount(b, minlength=e.size + 1)
+            sums = np.bincount(b, weights=sub, minlength=e.size + 1)
+            nl = np.cumsum(cnt)[:-1]
+            sl = np.cumsum(sums)[:-1]
+            nr = count - nl
+            sr = total - sl
+            ok = (nl >= min_leaf) & (nr >= min_leaf)
+            if not ok.any():
+                continue
+            score = np.where(
+                ok, sl * sl / np.maximum(nl, 1) + sr * sr / np.maximum(nr, 1), -np.inf
+            )
+            pos = int(np.argmax(score))
+            if score[pos] > parent_score + 1e-12 and (best is None or score[pos] > best[0]):
+                best = (float(score[pos]), int(f), pos)
+        if best is None:
+            if train_out is not None:
+                train_out[idx] = value[node]
+            continue
+        _, f, split_bin = best
+        go_left = bins[idx, f] <= split_bin
+        feature[node] = f
+        threshold[node] = float(edges[f][split_bin])
+        lid, rid = new_node(), new_node()
+        left[node], right[node] = lid, rid
+        stack.append((rid, idx[~go_left], depth + 1))
+        stack.append((lid, idx[go_left], depth + 1))
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "value": np.array(value, dtype=np.float64),
+    }
+
+
+def _reference_fit(kind, bins, edges, y, hp, seed=0):
+    """The packed ensemble of a tree kind, each tree grown alone by the reference."""
+    bins = bins.T
+    m, n_plants = y.shape
+    if kind == "DecisionTree":
+        trees = [
+            _reference_grow_tree(bins, y[:, j], edges, hp["max_depth"], hp["min_leaf"])
+            for j in range(n_plants)
+        ]
+        return models._pack(trees, np.zeros(n_plants), 1.0, 1.0)
+    if kind == "RandomForest":
+        seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
+        trees = []
+        for j in range(n_plants):
+            for t in range(hp["trees"]):
+                rng = np.random.default_rng(seeds[t])
+                rows = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
+                trees.append(
+                    _reference_grow_tree(
+                        bins[rows], y[rows, j], edges, hp["max_depth"], 1,
+                        rng=rng, n_sub=hp["feature_subsample"],
+                    )
+                )
+        return models._pack(trees, np.zeros(n_plants), 1.0, hp["trees"])
+    init, trees, step = np.empty(n_plants), [], np.empty(m)
+    for j in range(n_plants):
+        col = np.ascontiguousarray(y[:, j])
+        init[j] = col.mean()
+        residual = col - init[j]
+        for _ in range(hp["rounds"]):
+            trees.append(
+                _reference_grow_tree(bins, residual, edges, hp["tree_depth"], 1, train_out=step)
+            )
+            residual = residual - hp["learning_rate"] * step
+    return models._pack(trees, init, hp["learning_rate"], 1.0)
+
+
+def _assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+@st.composite
+def _binned_problem(draw, plants=st.integers(1, 3)):
+    """Binned features with ties and constant columns, and fractional labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 30))
+    levels = draw(st.lists(st.integers(1, 40), min_size=5, max_size=5))
+    x = np.column_stack([rng.integers(0, u, m) * rng.normal() for u in levels])
+    # integer labels sum exactly in any order, so they could hide an order
+    # change; a few repeated fractions make pure nodes whose split scores
+    # differ from the parent's only by rounding
+    shape = (m, draw(plants))
+    y = draw(
+        st.sampled_from(
+            (
+                rng.uniform(-3.0, 5.0, size=shape),
+                np.round(rng.uniform(-3.0, 5.0, size=shape), 1),
+                rng.choice([0.1, 0.3, 0.7, 2.2], size=shape),
+            )
+        )
+    )
+    bins, edges = models._binned(x)
+    return bins, edges, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_binned_problem(), max_depth=st.integers(1, 8), min_leaf=st.integers(1, 4))
+def test_grown_decision_trees_equal_the_reference(problem, max_depth, min_leaf):
+    bins, edges, y = problem
+    m, n_plants = y.shape
+    labels = [y[:, j] for j in range(n_plants)]
+    got = models._grow_trees(bins, edges, labels, [np.arange(m)] * n_plants, max_depth, min_leaf)
+    for j, tree in enumerate(got):
+        _assert_same_arrays(
+            tree, _reference_grow_tree(bins.T, y[:, j], edges, max_depth, min_leaf)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_binned_problem(), depth=st.integers(1, 4), rounds=st.integers(1, 3))
+def test_boosting_rounds_equal_the_reference(problem, depth, rounds):
+    bins, edges, y = problem
+    m, n_plants = y.shape
+    # one round grown together, with the leaf values scattered to train_out
+    residual = np.ascontiguousarray(y.T) - 1.25
+    got_out, want_out = np.zeros((n_plants, m)), np.zeros((n_plants, m))
+    got = models._grow_trees(
+        bins, edges, list(residual), [np.arange(m)] * n_plants, depth, 1, train_out=list(got_out)
+    )
+    for j, tree in enumerate(got):
+        want = _reference_grow_tree(bins.T, residual[j], edges, depth, 1, train_out=want_out[j])
+        _assert_same_arrays(tree, want)
+    assert np.array_equal(got_out, want_out)
+    # whole fits: the residuals of each round feed the next
+    hp = {"rounds": rounds, "learning_rate": 0.3, "tree_depth": depth}
+    _assert_same_arrays(
+        models._fit_gradient_boost(bins, edges, y, hp),
+        _reference_fit("GradientBoost", bins, edges, y, hp),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=_binned_problem(),
+    trees=st.integers(1, 5),
+    max_depth=st.integers(1, 8),
+    n_sub=st.integers(1, 5),
+    bootstrap=st.booleans(),
+    group_trees=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_forests_equal_the_reference_in_any_grouping(
+    problem, trees, max_depth, n_sub, bootstrap, group_trees, seed
+):
+    bins, edges, y = problem
+    hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=bootstrap)
+    # groups of group_trees (plant, tree) jobs, so that groups split plants
+    with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0]):
+        got = models._fit_forest(bins, edges, y, hp, seed)
+    _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
+
+
+def _fractional_dataset(m, seed):
+    soils, truth = generate_dataset(m, seed=seed)
+    data = dataset_from_soils(soils, truth)
+    noise = np.random.default_rng(seed).uniform(-0.5, 0.5, data.labels.shape)
+    return Dataset(features=data.features, labels=data.labels + noise)
+
+
+def test_default_forest_spanning_groups_equals_the_reference():
+    data = _fractional_dataset(100, seed=8)
+    hp = {"trees": 50, "max_depth": 3, "feature_subsample": 2, "bootstrap": True}
+    # 15 plants x 50 trees of 100 bootstrap rows exceed one group's rows
+    assert 15 * hp["trees"] * data.m > models._FOREST_ROWS
+    model = fit("RandomForest", data, seed=3, hyperparams=hp)
+    bins, edges = models._binned((data.features - data.mean) / data.std)
+    _assert_same_arrays(
+        model.params, _reference_fit("RandomForest", bins, edges, data.labels, model.hyperparams, 3)
+    )
+
+
+# sha256 of save_model output for default fits on _fractional_dataset(60, seed=5),
+# recorded from the node-by-node grower
+SAVED_DIGESTS = {
+    "DecisionTree": "8ef2eeeca16ea90d11da8556c3a78554b1e6e334516371e2b3361baa402bcadb",
+    "RandomForest": "79fc2f033e6018add80a9d726cbb3bdc61d4272baf69b1d28a4cd1b0071ea46c",
+    "GradientBoost": "50b929184115f1472d530e20df0d38875919da9a59329e8e987db3cc9067d071",
+}
+
+
+@pytest.mark.parametrize("kind", SAVED_DIGESTS)
+def test_saved_tree_models_match_pinned_digests(kind, tmp_path):
+    model = fit(kind, _fractional_dataset(60, seed=5), seed=11)
+    save_model(model, tmp_path / "model.json")
+    assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == SAVED_DIGESTS[kind]

@@ -3,6 +3,7 @@
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from microfarm.telemetry import (
     FileCloudSink,
     InMemoryCloudSink,
     SensorReading,
+    StorageError,
     encode_reading,
     forward_batch,
 )
@@ -85,6 +87,21 @@ def test_torn_tail_at_every_offset_reopens_to_the_complete_lines(seqs, marks):
                 assert data[:boundary] == full[:boundary]
                 assert data[boundary:].count(b"\n") == 1 and data.endswith(b"\n")
             path.write_bytes(full)
+
+
+@pytest.mark.parametrize("log", LOGS)
+@pytest.mark.parametrize("garbage", (b"garbage", b"[1, 2]", b"\xff\xfe"))
+def test_corrupt_complete_line_raises_storage_error_naming_file_and_line(tmp_path, log, garbage):
+    store = EdgeStore(tmp_path / "edge")
+    sink = FileCloudSink(tmp_path / "cloud.jsonl")
+    for seq in (1, 2):
+        rec = store.ingest(_frame(12, seq), LINK)
+        sink.send(make_envelope(rec))
+        store.mark_forwarded(12, seq)
+    path = tmp_path / log
+    path.write_bytes(path.read_bytes() + garbage + b"\n")
+    with pytest.raises(StorageError, match=rf"{path.name} line 3: "):
+        _reopen_and_append(tmp_path, log)
 
 
 # --- duplicate window ---------------------------------------------------------
