@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lora import ConfigError, LinkProfile, LoRaFrame, RadioConfig, radio_config_from_dict
-from .lora import sample_link, time_on_air
+from .lora import ConfigError, LinkProfile, LoRaFrame, RadioConfig, check_numbers
+from .lora import radio_config_from_dict, sample_link, time_on_air
 
 EVENT_KINDS = ("sent", "received", "collided", "backoff")
 
@@ -48,6 +48,9 @@ class DeviceConfig:
     cad_enabled: bool = False
 
     def __post_init__(self) -> None:
+        offset = () if self.start_offset_ms is None else ("start_offset_ms",)
+        timings = ("send_interval_ms", "start_offset_window_ms", "interval_jitter_ms") + offset
+        check_numbers(self, ints=("packet_count", "payload_len"), finite=timings)
         if self.packet_count < 1:
             raise ConfigError("packet_count must be >= 1")
         if self.send_interval_ms <= 0:
@@ -69,9 +72,12 @@ class ScenarioConfig:
     cad_recheck_interval_ms: float = 100.0
     seed: int = 0
     name: str = ""
-    record_events: bool = True
 
     def __post_init__(self) -> None:
+        limits = ("capture_threshold_db", "cad_max_backoff_ms", "cad_recheck_interval_ms")
+        check_numbers(self, ints=("seed",), finite=limits)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.devices:
             raise ConfigError("scenario needs at least one device")
         if self.capture_threshold_db < 0:
@@ -278,7 +284,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         seed=config.seed,
         devices=[stats[d.device_id] for d in config.devices],
         collision_count=collision_count,
-        events=events if config.record_events else [],
+        events=events,
     )
 
 
@@ -314,6 +320,8 @@ def format_summary(result: ScenarioResult) -> str:
 
 def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioConfig:
     """Parse a scenario JSON document (see fixtures/ for the shape)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scenario must be a JSON object, got {type(doc).__name__}")
     try:
         radio = radio_config_from_dict(doc.get("radio", {}))
         devices = []

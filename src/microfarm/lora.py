@@ -8,15 +8,26 @@ model here: link quality is sampled from a per-device Gaussian profile.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 
 class ConfigError(ValueError):
     """Invalid radio or scenario configuration."""
+
+
+def check_numbers(obj, ints: tuple[str, ...] = (), finite: tuple[str, ...] = ()) -> None:
+    """Require the named fields of ``obj`` to be integers (``ints``) or finite
+    numbers (``finite``); bools and strings are neither."""
+    for name in ints + finite:
+        value = getattr(obj, name)
+        kind = Integral if name in ints else Real
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            what = "an integer" if name in ints else "a finite number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 RADIO_JSON_KEYS = (
@@ -50,6 +61,7 @@ class RadioConfig:
     low_data_rate_optimize: bool = False
 
     def __post_init__(self) -> None:
+        check_numbers(self, finite=("bandwidth_hz", "frequency_hz"))
         if not 6 <= self.spreading_factor <= 12:
             raise ConfigError(f"spreading_factor must be in 6..12, got {self.spreading_factor}")
         if self.bandwidth_hz <= 0:
@@ -70,11 +82,6 @@ def radio_config_from_dict(doc: dict) -> RadioConfig:
     return RadioConfig(**doc)
 
 
-def radio_config_from_json(path) -> RadioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return radio_config_from_dict(json.load(fh))
-
-
 @dataclass(frozen=True)
 class LinkProfile:
     """Gaussian RSSI/SNR statistics of one device -> receiver link."""
@@ -85,6 +92,7 @@ class LinkProfile:
     snr_stddev: float
 
     def __post_init__(self) -> None:
+        check_numbers(self, finite=("mean_rssi", "rssi_stddev", "mean_snr", "snr_stddev"))
         if self.rssi_stddev < 0 or self.snr_stddev < 0:
             raise ConfigError("link profile stddevs must be >= 0")
 

@@ -164,80 +164,60 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
+def _unit_rows(r: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; an all-zero row stays all zero."""
+    norms = np.linalg.norm(r, axis=1)[:, None]
+    return np.divide(r, norms, out=np.zeros_like(r), where=norms > 0)
+
+
 def similarity_matrix(s: SparseRatingMatrix) -> np.ndarray:
     """All-pairs row cosine similarities; empty rows get a zero diagonal."""
-    r = s.values.astype(float)
-    norms = np.linalg.norm(r, axis=1)
-    unit = np.divide(r, norms[:, None], out=np.zeros_like(r), where=norms[:, None] > 0)
+    unit = _unit_rows(s.values.astype(float))
     sim = unit @ unit.T
-    np.fill_diagonal(sim, np.where(norms > 0, 1.0, 0.0))
+    np.fill_diagonal(sim, np.where(unit.any(axis=1), 1.0, 0.0))
     return sim
 
 
-def _top_k_weighted(cand_sims: np.ndarray, cand_vals: np.ndarray, k: int) -> float | None:
-    """Similarity-weighted mean over the top-k positive-similarity candidates.
-
-    Candidates arrive in ascending row order; ties at the k-th similarity are
-    resolved toward the lower row index.  Returns None when no candidate has
-    positive similarity.
-    """
-    pos = cand_sims > 0.0
-    if not pos.any():
-        return None
-    sims = cand_sims[pos]
-    vals = cand_vals[pos]
-    if sims.size > k:
-        kth = np.partition(sims, sims.size - k)[sims.size - k]
-        above = np.flatnonzero(sims > kth)
-        at = np.flatnonzero(sims == kth)[: k - above.size]
-        sel = np.concatenate([above, at])
-        sims = sims[sel]
-        vals = vals[sel]
-    return float(np.dot(sims, vals) / sims.sum())
+# Upper bound on (missing row, rater) similarities held at once by complete_matrix.
+_BLOCK_CELLS = 1 << 18
 
 
 def complete_matrix(s: SparseRatingMatrix, k: int = DEFAULT_NEIGHBORS) -> FullRatingMatrix:
     """Fill every missing cell from the k most similar soils that rated that plant.
 
     Prediction = similarity-weighted average of the neighbors' ratings,
-    rounded half-up and clamped to 1..5.  Fallbacks: the plant's mean rating
-    when no neighbor has positive similarity, then mid-scale 3 when the plant
-    has no ratings at all.  Observed cells are copied unchanged.
+    rounded half-up and clamped to 1..5; only positive similarities count,
+    and at the k-th similarity the lower row index wins.  Fallbacks: the
+    plant's mean rating when no neighbor has positive similarity, then
+    mid-scale 3 when the plant has no ratings at all.  Observed cells are
+    copied unchanged.
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     r = s.values.astype(float)
-    m, n = r.shape
     observed = s.values != 0
     out = s.values.copy()
-
-    norms = np.linalg.norm(r, axis=1)
-    unit = np.divide(r, norms[:, None], out=np.zeros_like(r), where=norms[:, None] > 0)
-    col_raters = [np.flatnonzero(observed[:, j]) for j in range(n)]
-    col_means = []
-    for j in range(n):
-        raters = col_raters[j]
-        col_means.append(float(r[raters, j].mean()) if raters.size else None)
-
-    chunk = max(1, min(m, 8_000_000 // max(m, 1)))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        sims_block = unit[lo:hi] @ unit.T
-        for i in range(lo, hi):
-            missing = np.flatnonzero(~observed[i])
-            if missing.size == 0:
-                continue
-            sims_row = sims_block[i - lo]
-            for j in missing:
-                raters = col_raters[j]
-                if raters.size:
-                    est = _top_k_weighted(sims_row[raters], r[raters, j], k)
-                    if est is None:
-                        est = col_means[j]
-                else:
-                    est = None
-                pred = FALLBACK_RATING if est is None else round_half_up(est)
-                out[i, j] = min(max(pred, RATING_MIN), RATING_MAX)
+    unit = _unit_rows(r)
+    for j in range(r.shape[1]):
+        raters = np.flatnonzero(observed[:, j])
+        missing = np.flatnonzero(~observed[:, j])
+        if raters.size == 0:
+            out[missing, j] = FALLBACK_RATING
+            continue
+        vals = r[raters, j]
+        rater_units = unit[raters].T
+        step = max(1, _BLOCK_CELLS // raters.size)
+        kth_at = max(raters.size - k, 0)  # with k or fewer raters every positive one is kept
+        for lo in range(0, missing.size, step):
+            rows = missing[lo : lo + step]
+            sims = unit[rows] @ rater_units  # ratings are >= 0, so similarities are too
+            kth = np.partition(sims, kth_at, axis=1)[:, kth_at, None]
+            tied = sims == kth  # the lowest rows among them are kept; zeros weigh nothing
+            room = k - (sims > kth).sum(axis=1, keepdims=True)
+            w = sims * ((sims > kth) | tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
+            total = w.sum(axis=1)
+            est = np.divide(w @ vals, total, out=np.full(rows.size, vals.mean()), where=total > 0)
+            out[rows, j] = np.clip(np.floor(est + 0.5), RATING_MIN, RATING_MAX)
     return FullRatingMatrix(out, observed)
 
 

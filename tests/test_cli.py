@@ -61,6 +61,36 @@ def test_lora_sim_bad_config_fails(tmp_path, capsys):
     assert "spreading_factor" in _err_line(capsys)
 
 
+# (path into scenario2.json, key, hostile value); None wraps the document in a list
+HOSTILE_SCENARIOS = {
+    "top-level list": None,
+    "fractional packet_count": (("devices", 0), "packet_count", 2.5),
+    "bool payload_len": (("devices", 0), "payload_len", True),
+    "string seed": ((), "seed", "abc"),
+    "infinite cad_max_backoff_ms": ((), "cad_max_backoff_ms", float("inf")),
+    "nan send_interval_ms": (("devices", 1), "send_interval_ms", float("nan")),
+    "nan link profile": (("devices", 0, "link_profile"), "mean_snr", float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_SCENARIOS))
+def test_lora_sim_rejects_hostile_scenario(case, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "scenario2.json").read_text(encoding="utf-8"))
+    if HOSTILE_SCENARIOS[case] is None:
+        doc, key = [doc], "JSON object"
+    else:
+        where, key, value = HOSTILE_SCENARIOS[case]
+        target = doc
+        for step in where:
+            target = target[step]
+        target[key] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("lora-sim", path, "--out", tmp_path) == 2
+    assert key in _err_line(capsys)
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_gen_data_writes_three_csvs(tmp_path):
     assert run("gen-data", "--num-soils", 30, "--sparsity", 0.2, "--seed", 3, "--out", tmp_path) == 0
     soils = (tmp_path / "soils.csv").read_text().splitlines()

@@ -1,7 +1,5 @@
 """Frame airtime math and radio/link configuration."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from microfarm.lora import (
     LinkProfile,
     RadioConfig,
     radio_config_from_dict,
-    radio_config_from_json,
     sample_link,
     time_on_air,
 )
@@ -66,7 +63,7 @@ def test_radio_config_from_dict_rejects_unknown_keys():
         radio_config_from_dict({"spreading_factor": 7, "sf": 7})
 
 
-def test_radio_config_json_round_trip(tmp_path):
+def test_radio_config_from_dict_round_trip():
     cfg = RadioConfig(spreading_factor=9, coding_rate_denominator=6)
     doc = {
         "spreading_factor": 9,
@@ -78,9 +75,7 @@ def test_radio_config_json_round_trip(tmp_path):
         "crc_enabled": True,
         "low_data_rate_optimize": False,
     }
-    path = tmp_path / "radio.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert radio_config_from_json(path) == cfg
+    assert radio_config_from_dict(doc) == cfg
 
 
 def test_sample_link_statistics():

@@ -1,7 +1,12 @@
 """Rating matrices: similarity, masking, completion, CSV/JSON interfaces."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microfarm.ratings as ratings
 from microfarm.ratings import (
@@ -176,6 +181,158 @@ def test_complete_rejects_bad_k():
     s = SparseRatingMatrix(np.array([[1, 2]]))
     with pytest.raises(ConfigurationError):
         complete_matrix(s, k=0)
+
+
+# --- completion against the per-cell reference -------------------------------
+
+
+def _reference_top_k(cand_sims, cand_vals, k):
+    """Similarity-weighted mean over the top-k positive-similarity candidates.
+
+    Candidates arrive in ascending row order; ties at the k-th similarity go
+    to the lower row index.  Returns (estimate, near_tie); the estimate is
+    None when no candidate has positive similarity, and near_tie says that
+    the k-th and (k+1)-th positive similarities lie within 1e-12.
+    """
+    pos = cand_sims > 0.0
+    if not pos.any():
+        return None, False
+    sims = cand_sims[pos]
+    vals = cand_vals[pos]
+    near_tie = False
+    if sims.size > k:
+        ordered = np.sort(sims)
+        kth = ordered[sims.size - k]
+        near_tie = kth - ordered[sims.size - k - 1] <= 1e-12
+        above = np.flatnonzero(sims > kth)
+        at = np.flatnonzero(sims == kth)[: k - above.size]
+        sel = np.concatenate([above, at])
+        sims = sims[sel]
+        vals = vals[sel]
+    return float(np.dot(sims, vals) / sims.sum()), near_tie
+
+
+def _reference_complete(s, k):
+    """complete_matrix cell by cell, as it was before the column pass.
+
+    Returns the completed values and the cells where the column pass may
+    legitimately differ, because the same similarities computed in another
+    matrix-product shape, or summed in another order, may differ in the last
+    bit: a near tie at the k-th similarity (see _reference_top_k), or an
+    estimate within 1e-9 of a half-integer.
+    """
+    r = s.values.astype(float)
+    m, n = r.shape
+    observed = s.values != 0
+    out = s.values.copy()
+    exempt = np.zeros(r.shape, dtype=bool)
+
+    norms = np.linalg.norm(r, axis=1)
+    unit = np.divide(r, norms[:, None], out=np.zeros_like(r), where=norms[:, None] > 0)
+    col_raters = [np.flatnonzero(observed[:, j]) for j in range(n)]
+    col_means = []
+    for j in range(n):
+        raters = col_raters[j]
+        col_means.append(float(r[raters, j].mean()) if raters.size else None)
+
+    chunk = max(1, min(m, 8_000_000 // max(m, 1)))
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        sims_block = unit[lo:hi] @ unit.T
+        for i in range(lo, hi):
+            missing = np.flatnonzero(~observed[i])
+            if missing.size == 0:
+                continue
+            sims_row = sims_block[i - lo]
+            for j in missing:
+                raters = col_raters[j]
+                if raters.size:
+                    est, near_tie = _reference_top_k(sims_row[raters], r[raters, j], k)
+                    if est is not None:
+                        half = abs(est - math.floor(est) - 0.5) <= 1e-9
+                        exempt[i, j] = near_tie or half
+                    else:
+                        est = col_means[j]
+                else:
+                    est = None
+                pred = ratings.FALLBACK_RATING if est is None else round_half_up(est)
+                out[i, j] = min(max(pred, ratings.RATING_MIN), ratings.RATING_MAX)
+    return out, exempt
+
+
+@st.composite
+def _tied_ratings(draw, exact=False):
+    """Small sparse matrices full of ties.
+
+    Ratings come from one or two values, and half the distinct rows (all of
+    them when ``exact``) hold one value throughout, so that rows on one
+    pattern are parallel.  Rows are duplicated, some columns and rows are
+    empty, and high sparsity leaves rows that share no rated plant with
+    anyone.  With ``exact`` every row rates 0, 1 or 4 plants, so each unit
+    row holds only 0, 1/2 or 1, and every similarity, weighted sum and mean
+    is exact in any summation order: ties are real ties.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from(((3,), (1, 2), (2, 4), (1, 5), (2, 3), (4,))))
+    distinct = int(rng.integers(1, m + 1))
+    values = rng.choice(levels, size=(distinct, n))
+    flat = np.ones(distinct, dtype=bool) if exact else rng.random(distinct) < 0.5
+    values[flat] = rng.choice(levels, size=(int(flat.sum()), 1))
+    if exact:
+        rated = rng.choice([c for c in (0, 1, 4) if c <= n], size=distinct)
+        keep = np.argsort(rng.random((distinct, n)), axis=1) < rated[:, None]
+        values[~keep] = 0
+    else:
+        sparsity = draw(st.sampled_from((0.2, 0.5, 0.8)))
+        values[rng.random((distinct, n)) < sparsity] = 0
+    values = values[rng.integers(0, distinct, m)]
+    values[rng.random(m) < 0.1] = 0
+    if not exact:
+        values[:, rng.random(n) < 0.2] = 0
+    return SparseRatingMatrix(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_tied_ratings(), k=st.integers(1, 12))
+def test_column_pass_equals_the_per_cell_reference(s, k):
+    want, exempt = _reference_complete(s, k)
+    got = complete_matrix(s, k=k)
+    assert np.array_equal(got.observed, s.values != 0)
+    differ = got.values != want
+    assert not (differ & ~exempt).any(), np.argwhere(differ & ~exempt).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_tied_ratings(exact=True), k=st.integers(1, 12))
+def test_column_pass_equals_the_reference_on_exact_ties(s, k):
+    # no cell is exempt here: the tie rule and the fallbacks are checked on every cell
+    want, _ = _reference_complete(s, k)
+    assert np.array_equal(complete_matrix(s, k=k).values, want)
+
+
+# sha256 of write_rating_csv(complete_matrix(mask(truth, s, seed=42), k=20)) for
+# criterion 9's corpus, generate_dataset(2000, seed=42), recorded from the
+# per-cell loop
+COMPLETED_DIGESTS = {
+    0.1: "f48394ac8718f83a050602f1428915e6a1f61c1764e42afffe9d5d7177da3fe1",
+    0.4: "f2062a1be6724c62e0df21f0960f4e00e5499aa54bf2b1cdf68c8a74a13648f5",
+    0.7: "bed2c63c9111b88bbf70bb5ca60b017e5cef0cd4ce2468be0062314d9b22ebe3",
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_9_truth():
+    return generate_dataset(2000, seed=42)[1]
+
+
+@pytest.mark.parametrize("sparsity", sorted(COMPLETED_DIGESTS))
+def test_completed_corpus_matches_pinned_digest(sparsity, criterion_9_truth, tmp_path):
+    full = complete_matrix(mask(criterion_9_truth, sparsity, seed=42), k=20)
+    write_rating_csv(tmp_path / "full.csv", full)
+    digest = hashlib.sha256((tmp_path / "full.csv").read_bytes()).hexdigest()
+    assert digest == COMPLETED_DIGESTS[sparsity]
 
 
 def test_evaluate_completion_masked_cells_only():
