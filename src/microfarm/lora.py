@@ -9,7 +9,7 @@ model here: link quality is sampled from a per-device Gaussian profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -28,18 +28,6 @@ def check_numbers(obj, ints: tuple[str, ...] = (), finite: tuple[str, ...] = ())
         if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
             what = "an integer" if name in ints else "a finite number"
             raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
-RADIO_JSON_KEYS = (
-    "spreading_factor",
-    "bandwidth_hz",
-    "coding_rate_denominator",
-    "frequency_hz",
-    "preamble_symbols",
-    "explicit_header",
-    "crc_enabled",
-    "low_data_rate_optimize",
-)
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,15 @@ class RadioConfig:
     low_data_rate_optimize: bool = False
 
     def __post_init__(self) -> None:
-        check_numbers(self, finite=("bandwidth_hz", "frequency_hz"))
+        check_numbers(
+            self,
+            ints=("spreading_factor", "coding_rate_denominator", "preamble_symbols"),
+            finite=("bandwidth_hz", "frequency_hz"),
+        )
+        for name in ("explicit_header", "crc_enabled", "low_data_rate_optimize"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if not 6 <= self.spreading_factor <= 12:
             raise ConfigError(f"spreading_factor must be in 6..12, got {self.spreading_factor}")
         if self.bandwidth_hz <= 0:
@@ -76,7 +72,7 @@ class RadioConfig:
 
 def radio_config_from_dict(doc: dict) -> RadioConfig:
     """Build a RadioConfig from a JSON-style dict; unknown keys are rejected."""
-    unknown = set(doc) - set(RADIO_JSON_KEYS)
+    unknown = set(doc) - {f.name for f in fields(RadioConfig)}
     if unknown:
         raise ConfigError(f"unknown radio config keys: {sorted(unknown)}")
     return RadioConfig(**doc)

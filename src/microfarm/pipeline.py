@@ -13,7 +13,7 @@ refitted.
 
 Every stage draws from substreams of one master seed, the edge store runs
 on its virtual clock, and the forwarder sleeps through a no-op, so a fixed
-seed reproduces every artifact byte for byte.
+seed reproduces every artifact byte for byte in a fresh ``out_dir``.
 """
 
 from __future__ import annotations
@@ -109,10 +109,18 @@ def run_demo(
     model_kind: str = DEMO_MODEL_KIND,
     log=None,
 ) -> PipelineReport:
-    """Run all six stages, write artifacts under ``out_dir``, return the report."""
+    """Run all six stages, write artifacts under ``out_dir``, return the report.
+
+    Raises FileExistsError, before writing anything, if ``out_dir`` already
+    holds ``edge/`` or ``cloud.jsonl``: appending to an earlier run's logs
+    would change the counts and every telemetry artifact.
+    """
     if retrain_period < 1:
         raise ValueError("retrain_period must be >= 1")
     out = Path(out_dir)
+    for earlier in (out / "edge", out / "cloud.jsonl"):
+        if earlier.exists():
+            raise FileExistsError(f"{earlier} already exists; run the demo into a fresh directory")
     out.mkdir(parents=True, exist_ok=True)
     emit = log if log is not None else (lambda line: None)
     report = PipelineReport(seed=seed, retrain_period=retrain_period)

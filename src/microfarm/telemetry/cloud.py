@@ -3,8 +3,8 @@
 The sink contract is a single ``send(envelope) -> bool`` (ack/nack).  The
 forwarder retries each envelope with exponential backoff until acked or the
 per-call attempt cap is hit; a record is marked forwarded only after an ack.
-Sinks deduplicate by envelope_id, so however often delivery is retried the
-cloud holds each reading exactly once.
+Sinks deduplicate by envelope_id, the record's (device_id, position) key, so
+however often delivery is retried the cloud holds each reading exactly once.
 """
 
 from __future__ import annotations
@@ -30,15 +30,19 @@ class ForwardBusyError(RuntimeError):
 
 @dataclass(frozen=True)
 class CloudEnvelope:
-    """At-least-once delivery unit; ``attempt`` counts from 1 and climbs on retry."""
+    """At-least-once delivery of one cloud line (``body``); ``attempt`` climbs from 1."""
 
-    envelope_id: tuple[int, int]  # (device_id, seq)
     body: dict
     attempt: int = 1
 
     def __post_init__(self) -> None:
         if self.attempt < 1:
             raise ValueError("attempt must be >= 1")
+
+    @property
+    def envelope_id(self) -> tuple[int, int]:
+        """The record's key: (device_id, position)."""
+        return (self.body["device_id"], self.body["position"])
 
 
 class CloudSink(Protocol):
@@ -98,9 +102,10 @@ class InMemoryCloudSink:
 class FileCloudSink:
     """Durable sink: one append-only NDJSON log plus a dedup index.
 
-    The index is rebuilt from the log's complete lines on open, so reopening
-    never readmits an envelope_id that was already stored.  A torn last line
-    is cut off the log (see edge.read_log) and counted in ``torn_tails``.
+    Each line is an envelope body.  The index of (device_id, position) keys
+    is rebuilt from the log's complete lines on open, so reopening never
+    readmits an envelope_id that was already stored.  A torn last line is cut
+    off the log (see edge.read_log) and counted in ``torn_tails``.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -111,12 +116,7 @@ class FileCloudSink:
 
     def send(self, envelope: CloudEnvelope) -> bool:
         if envelope.envelope_id not in self._ids:
-            obj = {
-                "device_id": envelope.envelope_id[0],
-                "seq": envelope.envelope_id[1],
-                "body": envelope.body,
-            }
-            append_line(self.path, json.dumps(obj, separators=(",", ":")))
+            append_line(self.path, json.dumps(envelope.body, separators=(",", ":")))
             self._ids.add(envelope.envelope_id)
         return True
 
@@ -128,13 +128,15 @@ class FileCloudSink:
 
 
 def _envelope_id(line: str) -> tuple[int, int]:
-    obj = json.loads(line)
-    return obj["device_id"], obj["seq"]
+    return CloudEnvelope(json.loads(line)).envelope_id
 
 
-def make_envelope(record: EdgeRecord, attempt: int = 1) -> CloudEnvelope:
-    key = (record.reading.device_id, record.reading.seq)
-    return CloudEnvelope(envelope_id=key, body=record.to_json_obj(), attempt=attempt)
+def make_envelope(record: EdgeRecord) -> CloudEnvelope:
+    """A record's cloud line: its logged fields less the edge-only flags, plus its position."""
+    body = record.to_json_obj()
+    del body["forwarded"], body["duplicate"]
+    body["position"] = record.position
+    return CloudEnvelope(body)
 
 
 def forward_batch(

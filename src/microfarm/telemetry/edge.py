@@ -8,9 +8,13 @@ line was complete, and cuts a torn last line off its log (see
 ``read_log``).  The sidecar is the one record of forwarded state; the
 ``forwarded`` flag of a record is read from it.
 
-Duplicate suppression: a (device_id, seq) pair repeats within the trailing
-half of the 16-bit sequence space (2^15 behind the device's newest seq) is
-still appended, but flagged ``duplicate`` and never forwarded.
+Record identity: a record's ``key`` is (device_id, position), where the
+position is its 16-bit seq unwrapped against the device's newest position
+(RFC 1982 serial-number arithmetic: up to 2^15 ahead counts as ahead, the
+rest as behind).  The position is derived again on replay and never logged
+in a device log; ``forwarded.log`` holds one "<device_id> <position>" line
+per acknowledged record.  A frame whose key a non-duplicate record already
+holds is still appended, but flagged ``duplicate`` and never forwarded.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 import threading
 from dataclasses import dataclass, fields, replace
 from itertools import islice
+from math import inf
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -84,6 +89,12 @@ class EdgeRecord:
     snr_db: float
     forwarded: bool = False
     duplicate: bool = False
+    position: int = 0  # seq unwrapped on the device's axis; not logged
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """The record's identity: (device_id, position)."""
+        return (self.reading.device_id, self.position)
 
     def to_json_obj(self) -> dict:
         obj = {name: getattr(self.reading, name) for name in _READING_FIELDS}
@@ -92,36 +103,20 @@ class EdgeRecord:
         return obj
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "EdgeRecord":
+    def from_json_obj(obj: dict, position: int) -> "EdgeRecord":
         reading = SensorReading(**{name: obj[name] for name in _READING_FIELDS})
-        return EdgeRecord(reading, **{name: obj[name] for name in _RECORD_FIELDS})
+        rest = {name: obj[name] for name in _RECORD_FIELDS}
+        return EdgeRecord(reading, position=position, **rest)
 
 
-# JSON keys of a record, in log order: the reading's fields, then the rest.
+# JSON keys of a logged record, in log order: the reading's fields, then the rest.
 _READING_FIELDS = tuple(f.name for f in fields(SensorReading))
-_RECORD_FIELDS = tuple(f.name for f in fields(EdgeRecord) if f.name != "reading")
-
-
-def _parse_record(line: str) -> EdgeRecord:
-    return EdgeRecord.from_json_obj(json.loads(line))
+_RECORD_FIELDS = tuple(f.name for f in fields(EdgeRecord) if f.name not in ("reading", "position"))
 
 
 def _forward_id(line: str) -> tuple[int, int]:
-    dev, seq = line.split()
-    return int(dev), int(seq)
-
-
-def _key(rec: EdgeRecord) -> tuple[int, int]:
-    return (rec.reading.device_id, rec.reading.seq)
-
-
-def _unwrap(anchor: int, seq: int) -> int:
-    """Position of a 16-bit ``seq`` on the unwrapped axis of ``anchor``.
-
-    Up to DUP_WINDOW ahead of the anchor counts as ahead, the rest as behind.
-    """
-    ahead = (seq - anchor) % SEQ_MOD
-    return anchor + ahead if ahead <= DUP_WINDOW else anchor + ahead - SEQ_MOD
+    dev, position = line.split()
+    return int(dev), int(position)
 
 
 class EdgeStore:
@@ -129,9 +124,10 @@ class EdgeStore:
 
     ``clock`` returns the current edge time in ms; it defaults to a virtual
     counter advancing 1 ms per ingest so tests and demo runs are
-    deterministic.  Appends are serialized by an internal lock; forwarding
-    passes take ``forward_lock`` (single-flight, see cloud.forward_batch).
-    ``torn_tails`` counts the logs whose torn last line was cut on open.
+    deterministic.  Appends and the owed records are guarded by an internal
+    lock; forwarding passes take ``forward_lock`` (single-flight, see
+    cloud.forward_batch).  ``torn_tails`` counts the logs whose torn last
+    line was cut on open.
     """
 
     def __init__(self, root: str | Path, clock: Callable[[], float] | None = None) -> None:
@@ -146,12 +142,11 @@ class EdgeStore:
         self.forward_lock = threading.Lock()
         self._forward_log = self.root / "forwarded.log"
         self._records: list[EdgeRecord] = []  # as logged, forwarded=False
-        # Duplicate window: each device's newest unwrapped seq position, and
-        # the position of the last non-duplicate record of each (device, seq).
-        self._anchor: dict[int, int] = {}
-        self._last_pos: dict[tuple[int, int], int] = {}
+        self._anchor: dict[int, int] = {}  # each device's newest non-duplicate position
+        self._held: set[tuple[int, int]] = set()  # keys of non-duplicate records
+        self._forwarded: set[tuple[int, int]] = set()  # keys in forwarded.log
+        self._owed: dict[tuple[int, int], EdgeRecord] = {}  # held, not forwarded, in log order
         self._last_received_at: dict[int, float] = {}
-        self._forwarded_ids: set[tuple[int, int]] = set()
         self.torn_tails = 0
         self._load()
 
@@ -164,31 +159,34 @@ class EdgeStore:
 
     def _load(self) -> None:
         ids, self.torn_tails = read_log(self._forward_log, _forward_id)
-        self._forwarded_ids.update(ids)
+        self._forwarded.update(ids)
         for path in sorted(self.root.glob("device_*.ndjson")):
-            records, torn = read_log(path, _parse_record)
-            self.torn_tails += torn
-            for rec in records:
-                self._track(rec)
-                self._records.append(rec)
+            self.torn_tails += read_log(path, self._replay)[1]
 
-    def _track(self, rec: EdgeRecord) -> None:
-        dev, seq = rec.reading.device_id, rec.reading.seq
+    def _replay(self, line: str) -> None:
+        """Keep one logged record; its position follows from the device's earlier ones."""
+        obj = json.loads(line)
+        self._keep(EdgeRecord.from_json_obj(obj, self._position(obj["device_id"], obj["seq"])))
+
+    def _position(self, device_id: int, seq: int) -> int:
+        """Where ``seq`` lies on the device's unwrapped axis."""
+        anchor = self._anchor.get(device_id, seq)
+        ahead = (seq - anchor) % SEQ_MOD
+        return anchor + ahead if ahead <= DUP_WINDOW else anchor + ahead - SEQ_MOD
+
+    def _keep(self, rec: EdgeRecord) -> None:
+        dev, key = rec.reading.device_id, rec.key
         if not rec.duplicate:
-            anchor = self._anchor.get(dev, seq)
-            pos = _unwrap(anchor, seq)
-            self._anchor[dev] = max(anchor, pos)
-            self._last_pos[(dev, seq)] = pos
-        prev = self._last_received_at.get(dev)
-        if prev is None or rec.received_at_ms > prev:
-            self._last_received_at[dev] = rec.received_at_ms
-
-    def _is_duplicate(self, device_id: int, seq: int) -> bool:
-        last = self._last_pos.get((device_id, seq))
-        return last is not None and self._anchor[device_id] - last < DUP_WINDOW
+            self._anchor[dev] = max(self._anchor.get(dev, rec.position), rec.position)
+            self._held.add(key)
+            if key not in self._forwarded:
+                self._owed[key] = rec
+        seen = self._last_received_at.get(dev, rec.received_at_ms)
+        self._last_received_at[dev] = max(rec.received_at_ms, seen)
+        self._records.append(rec)
 
     def _view(self, rec: EdgeRecord) -> EdgeRecord:
-        if rec.duplicate or _key(rec) not in self._forwarded_ids:
+        if rec.duplicate or rec.key not in self._forwarded:
             return rec
         return replace(rec, forwarded=True)
 
@@ -199,25 +197,23 @@ class EdgeStore:
         """
         reading = decode_reading(frame_payload)
         with self._write_lock:
-            now = float(self._clock())
             # Per-device receive times must never run backwards in the log.
-            prev = self._last_received_at.get(reading.device_id)
-            if prev is not None and now < prev:
-                now = prev
+            now = max(float(self._clock()), self._last_received_at.get(reading.device_id, -inf))
+            position = self._position(reading.device_id, reading.seq)
             rec = EdgeRecord(
                 reading=reading,
                 received_at_ms=now,
                 rssi_dbm=float(link[0]),
                 snr_db=float(link[1]),
-                duplicate=self._is_duplicate(reading.device_id, reading.seq),
+                duplicate=(reading.device_id, position) in self._held,
+                position=position,
             )
             line = json.dumps(rec.to_json_obj(), separators=(",", ":"))
             try:
                 append_line(self._device_path(reading.device_id), line)
             except OSError as exc:
                 raise StorageError(f"append failed: {exc}") from exc
-            self._track(rec)
-            self._records.append(rec)
+            self._keep(rec)
             return rec
 
     def records(self, device_id: int | None = None) -> list[EdgeRecord]:
@@ -228,19 +224,21 @@ class EdgeStore:
         ]
 
     def unforwarded(self, limit: int | None = None) -> list[EdgeRecord]:
-        """Records still owed to the cloud: not forwarded, not duplicates."""
-        owed = (r for r in self._records if not r.duplicate and _key(r) not in self._forwarded_ids)
-        return list(islice(owed, limit))
+        """Records still owed to the cloud, in log order: not forwarded, not duplicates."""
+        with self._write_lock:
+            return list(islice(self._owed.values(), limit))
 
-    def mark_forwarded(self, device_id: int, seq: int) -> None:
-        key = (device_id, seq)
-        if key in self._forwarded_ids:
-            return
-        try:
-            append_line(self._forward_log, f"{device_id} {seq}")
-        except OSError as exc:
-            raise StorageError(f"forward mark failed: {exc}") from exc
-        self._forwarded_ids.add(key)
+    def mark_forwarded(self, device_id: int, position: int) -> None:
+        key = (device_id, position)
+        with self._write_lock:
+            if key in self._forwarded:
+                return
+            try:
+                append_line(self._forward_log, f"{device_id} {position}")
+            except OSError as exc:
+                raise StorageError(f"forward mark failed: {exc}") from exc
+            self._forwarded.add(key)
+            self._owed.pop(key, None)
 
     def __iter__(self) -> Iterator[EdgeRecord]:
         return map(self._view, self._records)

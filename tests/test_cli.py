@@ -70,6 +70,11 @@ HOSTILE_SCENARIOS = {
     "infinite cad_max_backoff_ms": ((), "cad_max_backoff_ms", float("inf")),
     "nan send_interval_ms": (("devices", 1), "send_interval_ms", float("nan")),
     "nan link profile": (("devices", 0, "link_profile"), "mean_snr", float("nan")),
+    "fractional spreading_factor": (("radio",), "spreading_factor", 7.5),
+    "fractional coding_rate_denominator": (("radio",), "coding_rate_denominator", 5.5),
+    "fractional preamble_symbols": (("radio",), "preamble_symbols", 2.5),
+    "string explicit_header": (("radio",), "explicit_header", "no"),
+    "integer crc_enabled": (("radio",), "crc_enabled", 1),
 }
 
 
@@ -257,6 +262,25 @@ def test_recommend_identical_runs_identical_ranking(tmp_path):
     for out in (a, b):
         assert run("recommend", model, "--soil", 12, 80, 110, 19, 4.2, "--out", out) == 0
     assert (a / "recommendation.json").read_bytes() == (b / "recommendation.json").read_bytes()
+
+
+def _tree(root):
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
+def test_pipeline_demo_refuses_to_rerun_into_the_same_out(tmp_path, capsys):
+    assert run("pipeline-demo", "--retrain-period", 5, "--quiet", "--out", tmp_path) == 0
+    before = _tree(tmp_path)
+    assert run("pipeline-demo", "--retrain-period", 5, "--quiet", "--out", tmp_path) == 2
+    assert str(tmp_path / "edge") in _err_line(capsys)
+    assert _tree(tmp_path) == before
+
+
+def test_pipeline_demo_refuses_an_out_holding_a_cloud_log(tmp_path, capsys):
+    (tmp_path / "cloud.jsonl").write_text("", encoding="utf-8")
+    assert run("pipeline-demo", "--quiet", "--out", tmp_path) == 2
+    assert str(tmp_path / "cloud.jsonl") in _err_line(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["cloud.jsonl"]
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):
