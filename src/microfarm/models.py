@@ -10,8 +10,11 @@ permuting label columns permutes predictions and nothing else.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +44,7 @@ DEFAULT_HYPERPARAMS = {
 # follows data density instead of the raw feature span.
 HISTOGRAM_BINS = 256
 
-MODEL_FORMAT = "microfarm-model/2"
+MODEL_FORMAT = "microfarm-model/3"
 
 
 class DataError(ValueError):
@@ -563,20 +566,43 @@ _SHAPES = {
 _INT_ARRAYS = ("feature", "left", "right", "roots")
 
 
+def _dtype(key: str) -> str:
+    """The little-endian dtype an array is stored and held in: 8-byte ints or floats."""
+    return "<i8" if key in _INT_ARRAYS else "<f8"
+
+
+def _encode(key: str, arr) -> dict:
+    dtype = _dtype(key)
+    arr = np.asarray(arr, dtype=dtype)
+    data = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": dtype, "shape": list(arr.shape), "data": data}
+
+
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Versioned JSON document; load_model(save_model(m)) predicts identically."""
+    """Versioned JSON document; load_model(save_model(m)) predicts identically.
+
+    The document is written to a sibling temporary file that then replaces
+    ``path``, so a reader never sees a partly written model.
+    """
     doc = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "hyperparams": model.hyperparams,
-        "scaling": {"mean": model.mean.tolist(), "std": model.std.tolist()},
+        "scaling": {"mean": _encode("mean", model.mean), "std": _encode("std", model.std)},
         "seed": model.seed,
         "train_rows": model.train_rows,
-        "params": {key: val.tolist() for key, val in model.params.items()},
+        "params": {key: _encode(key, val) for key, val in model.params.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require(ok, what: str) -> None:
@@ -585,19 +611,28 @@ def _require(ok, what: str) -> None:
 
 
 def _read_arrays(obj, shapes: dict) -> dict:
+    """Each key's {dtype, shape, data} entry, checked in that order and decoded."""
     _require(isinstance(obj, dict), f"expected an object holding {', '.join(shapes)}")
     sizes, out = {}, {}
     for key, shape in shapes.items():
         _require(key in obj, f"missing {key!r}")
-        try:
-            arr = np.asarray(obj[key], dtype=np.int64 if key in _INT_ARRAYS else np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ModelError(f"malformed model file: {key!r} is not a numeric array") from None
-        n = len(shape)
-        _require(arr.ndim == n and np.isfinite(arr).all(), f"{key!r} is not a finite {n}-d array")
-        for dim, size in zip(shape, arr.shape):
+        entry, dtype, n = obj[key], _dtype(key), len(shape)
+        _require(isinstance(entry, dict), f"{key!r} is not a {{dtype, shape, data}} object")
+        _require(entry.get("dtype") == dtype, f"{key!r} dtype is not {dtype!r}")
+        dims = entry.get("shape")
+        ok = isinstance(dims, list) and len(dims) == n and all(type(d) is int for d in dims)
+        _require(ok, f"{key!r} shape is not a list of {n} ints")
+        for dim, size in zip(shape, dims):
             want = dim if isinstance(dim, int) else sizes.setdefault(dim, size)
             _require(size == want and size > 0, f"{key!r} has {size} {dim}, expected {want}")
+        try:
+            raw = base64.b64decode(entry.get("data"), validate=True)
+        except (TypeError, ValueError):
+            raise ModelError(f"malformed model file: {key!r} data is not base64") from None
+        want = 8 * math.prod(dims)
+        _require(len(raw) == want, f"{key!r} data holds {len(raw)} bytes, expected {want}")
+        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        _require(np.isfinite(arr).all(), f"{key!r} is not finite")
         out[key] = arr
     return out
 
@@ -619,8 +654,11 @@ def _check_ensemble(p: dict) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Read a save_model document; anything malformed raises ModelError."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"malformed model file {path}: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != MODEL_FORMAT:
         raise ModelError(f"unsupported model format {fmt!r}, expected {MODEL_FORMAT!r}")

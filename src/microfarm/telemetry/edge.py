@@ -147,6 +147,7 @@ class EdgeStore:
         self._forwarded: set[tuple[int, int]] = set()  # keys in forwarded.log
         self._owed: dict[tuple[int, int], EdgeRecord] = {}  # held, not forwarded, in log order
         self._last_received_at: dict[int, float] = {}
+        self._paths: dict[int, Path] = {}  # each device's log, built once
         self.torn_tails = 0
         self._load()
 
@@ -155,7 +156,10 @@ class EdgeStore:
         return float(self._ticks)
 
     def _device_path(self, device_id: int) -> Path:
-        return self.root / f"device_{device_id}.ndjson"
+        path = self._paths.get(device_id)
+        if path is None:
+            path = self._paths[device_id] = self.root / f"device_{device_id}.ndjson"
+        return path
 
     def _load(self) -> None:
         ids, self.torn_tails = read_log(self._forward_log, _forward_id)

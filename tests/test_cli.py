@@ -9,7 +9,7 @@ import pytest
 from microfarm import cli
 from microfarm.models import dataset_from_soils, fit, save_model
 from microfarm.ratings import generate_dataset
-from test_models import MALFORMED, write_malformed
+from test_models import MALFORMED, UNREADABLE, write_malformed
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -236,8 +236,16 @@ def test_recommend_rejects_oversized_n(tmp_path, capsys):
 @pytest.mark.parametrize("name", MALFORMED)
 def test_recommend_malformed_model_fails(name, tmp_path, capsys):
     path = write_malformed(tmp_path, name)
-    assert run("recommend", path, "--soil", 40, 50, 60, 21, 6.5, "--out", tmp_path) != 0
+    assert run("recommend", path, "--soil", 40, 50, 60, 21, 6.5, "--out", tmp_path) == 2
     assert MALFORMED[name][1] in _err_line(capsys)
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_recommend_unreadable_model_names_the_file(name, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(UNREADABLE[name])
+    assert run("recommend", path, "--soil", 40, 50, 60, 21, 6.5, "--out", tmp_path) == 2
+    assert f"malformed model file {path}: " in _err_line(capsys)
 
 
 @pytest.mark.parametrize("value", ("nan", "inf"))

@@ -1,7 +1,9 @@
 """Per-plant regressors: fitting, prediction, persistence, ranking."""
 
+import base64
 import hashlib
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -198,21 +200,78 @@ def test_recommend_rejects_out_of_range_n():
             recommend_top_n(model, _soil(), bad)
 
 
+def _decoded(entry):
+    """The writable array a saved {dtype, shape, data} entry holds."""
+    raw = base64.b64decode(entry["data"])
+    return np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+
+
+def _encoded(arr):
+    data = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape), "data": data}
+
+
 def _mutate(key, value):
     def apply(doc):
-        doc["params"][key][0] = value(doc)
+        arr = _decoded(doc["params"][key])
+        arr[0] = value(arr)
+        doc["params"][key] = _encoded(arr)
 
     return apply
+
+
+def _edit(key, field, value):
+    def apply(doc):
+        entry = doc["params"][key]
+        entry[field] = value(entry)
+
+    return apply
+
+
+def _as_format_2(doc):
+    """The same model in the microfarm-model/2 layout: nested lists, not bytes."""
+    doc["format"] = "microfarm-model/2"
+    for group in ("scaling", "params"):
+        doc[group] = {key: _decoded(entry).tolist() for key, entry in doc[group].items()}
+
+
+def _with_nan(entry):
+    arr = _decoded(entry)
+    arr[1] = np.nan
+    return _encoded(arr)["data"]
 
 
 # name -> (edit of a saved DecisionTree document, expected error text);
 # node 0 is the first tree's root, an internal node
 MALFORMED = {
     "missing params": (lambda doc: doc.pop("params"), "missing 'params'"),
-    "child out of range": (_mutate("left", lambda doc: len(doc["params"]["left"]) + 5), "'left'"),
-    "self-loop child": (_mutate("left", lambda doc: 0), "'left'"),
+    "child out of range": (_mutate("left", lambda arr: arr.size + 5), "'left'"),
+    "self-loop child": (_mutate("left", lambda arr: 0), "'left'"),
     "format 1": (lambda doc: doc.update(format="microfarm-model/1"), "microfarm-model/1"),
+    "format 2": (_as_format_2, "expected 'microfarm-model/3'"),
     "text hyperparameter": (lambda doc: doc["hyperparams"].update(max_depth="12"), "max_depth"),
+    "truncated data": (
+        _edit("threshold", "data", lambda e: e["data"][: len(e["data"]) // 8 * 4]),
+        "'threshold' data holds",
+    ),
+    "wrong-length data": (
+        _edit("threshold", "data", lambda e: _encoded(np.append(_decoded(e), 1.0))["data"]),
+        "'threshold' data holds",
+    ),
+    "non-base64 data": (
+        _edit("threshold", "data", lambda e: e["data"][:4] + "!" + e["data"][4:]),
+        "'threshold' data is not base64",
+    ),
+    "wrong dtype": (_edit("feature", "dtype", lambda e: "<f8"), "'feature' dtype is not '<i8'"),
+    "float shape": (
+        _edit("feature", "shape", lambda e: [float(e["shape"][0])]),
+        "'feature' shape is not a list of 1 ints",
+    ),
+    "shape against bytes": (
+        _edit("feature", "shape", lambda e: [e["shape"][0] + 1]),
+        "'feature' data holds",
+    ),
+    "nan threshold": (_edit("threshold", "data", _with_nan), "'threshold' is not finite"),
 }
 
 
@@ -234,6 +293,22 @@ def test_load_rejects_malformed_model(name, tmp_path):
         load_model(path)
 
 
+# raw file contents that are not a JSON document
+UNREADABLE = {
+    "cut mid-header": b'{"format": "microfarm-model/3", "kind"',
+    "not UTF-8": b"\xff\xfe",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_load_names_the_file_it_cannot_parse(name, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(UNREADABLE[name])
+    with pytest.raises(ModelError, match=re.escape(f"malformed model file {path}: ")):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def boosted(tmp_path_factory):
     """A saved GradientBoost document with several trees per plant, and a scratch path."""
@@ -248,12 +323,14 @@ def boosted(tmp_path_factory):
 def test_load_survives_any_one_corrupted_index(boosted, data):
     text, path = boosted
     doc = json.loads(text)
-    values = doc["params"][data.draw(st.sampled_from(("feature", "left", "right")))]
+    key = data.draw(st.sampled_from(("feature", "left", "right")))
+    values = _decoded(doc["params"][key])
     i = data.draw(st.integers(0, len(values) - 1))
-    old = values[i]
+    old = int(values[i])
     values[i] = data.draw(
         st.one_of(st.integers(-2, len(values) + 2), st.integers(-12, 12).map(lambda d: old + d))
     )
+    doc["params"][key] = _encoded(values)
     path.write_text(json.dumps(doc))
     try:
         model = load_model(path)
@@ -261,6 +338,34 @@ def test_load_survives_any_one_corrupted_index(boosted, data):
         return
     scores, _ = predict_matrix(model, _dataset(12, seed=3).features)
     assert np.isfinite(scores).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_of_a_file_cut_short_raises_model_error(boosted, data):
+    text, path = boosted
+    raw = text.encode("utf-8")
+    # every cut that loses more than the closing newline
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 2))])
+    with pytest.raises(ModelError):
+        load_model(path)
+
+
+def test_save_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(fit("Linear", _dataset(20)), path)
+    before = path.read_bytes()
+
+    def crash(doc, fh, **kwargs):
+        fh.write('{"format":')
+        raise OSError("disk full")
+
+    # a save that fails mid-write leaves the old file and no temporary behind
+    monkeypatch.setattr(json, "dump", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(fit("KNN", _dataset(20)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 # --- tree growth against the one-tree-at-a-time reference ---------------------
@@ -482,17 +587,41 @@ def test_default_forest_spanning_groups_equals_the_reference():
     )
 
 
-# sha256 of save_model output for default fits on _fractional_dataset(60, seed=5),
-# recorded from the node-by-node grower
+# sha256 of the microfarm-model/2 text of default fits on
+# _fractional_dataset(60, seed=5), recorded from the node-by-node grower
 SAVED_DIGESTS = {
     "DecisionTree": "8ef2eeeca16ea90d11da8556c3a78554b1e6e334516371e2b3361baa402bcadb",
     "RandomForest": "79fc2f033e6018add80a9d726cbb3bdc61d4272baf69b1d28a4cd1b0071ea46c",
     "GradientBoost": "50b929184115f1472d530e20df0d38875919da9a59329e8e987db3cc9067d071",
 }
 
+# sha256 of the save_model (microfarm-model/3) file of the same fits
+SAVED_FILE_DIGESTS = {
+    "DecisionTree": "8be687ea6f6b61aec665151fc2fd59716e367108afa9990dda6dfe4543454100",
+    "RandomForest": "62360a21cf61fe9373cd5a3ae3a142e98b04f2ffbb5fb3400143d624b9ee7a11",
+    "GradientBoost": "a91c9d23b48f827e348c301daa3eea79641d9d35b400b32d176a68cc00ae6f03",
+}
+
+
+def _format_2_text(model):
+    """The document microfarm-model/2 wrote: every array as nested JSON lists."""
+    doc = {
+        "format": "microfarm-model/2",
+        "kind": model.kind,
+        "hyperparams": model.hyperparams,
+        "scaling": {"mean": model.mean.tolist(), "std": model.std.tolist()},
+        "seed": model.seed,
+        "train_rows": model.train_rows,
+        "params": {key: val.tolist() for key, val in model.params.items()},
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
 
 @pytest.mark.parametrize("kind", SAVED_DIGESTS)
 def test_saved_tree_models_match_pinned_digests(kind, tmp_path):
-    model = fit(kind, _fractional_dataset(60, seed=5), seed=11)
-    save_model(model, tmp_path / "model.json")
-    assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == SAVED_DIGESTS[kind]
+    path = tmp_path / "model.json"
+    save_model(fit(kind, _fractional_dataset(60, seed=5), seed=11), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FILE_DIGESTS[kind]
+    # the decoded arrays are those the /2 format held, bit for bit
+    text = _format_2_text(load_model(path))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_DIGESTS[kind]
