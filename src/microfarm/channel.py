@@ -16,6 +16,7 @@ cannot change the outcome.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -153,136 +154,98 @@ def resolve_overlaps(frames: list[LoRaFrame], capture_threshold_db: float) -> Lo
     return best
 
 
-def _group_overlaps(frames: list[LoRaFrame]) -> list[list[LoRaFrame]]:
-    """Maximal transitive groups of time-overlapping frames (half-open intervals)."""
-    groups: list[list[LoRaFrame]] = []
-    current: list[LoRaFrame] = []
-    current_end = -np.inf
-    for f in sorted(frames, key=lambda f: (f.start_time, str(f.sender_id), f.seq)):
-        if current and f.start_time < current_end:
-            current.append(f)
-            current_end = max(current_end, f.end_time)
+def _settle(group: list[LoRaFrame], capture_threshold_db: float, stats: dict, events: list) -> None:
+    """Count one closed overlap group and log its sent/received/collided events."""
+    survivor = resolve_overlaps(group, capture_threshold_db)
+    for f in group:
+        st = stats[f.sender_id]
+        st.packets_sent += 1
+        events.append(Event(f.start_time, f.sender_id, "sent", f.seq))
+        if f is survivor:
+            st.packets_received += 1
+            st.rssi_received.append(f.rssi)
+            st.snr_received.append(f.snr)
+            st.received_seqs.append(f.seq)
+            events.append(Event(f.end_time, f.sender_id, "received", f.seq))
         else:
-            if current:
-                groups.append(current)
-            current = [f]
-            current_end = f.end_time
-    if current:
-        groups.append(current)
-    return groups
+            events.append(Event(f.end_time, f.sender_id, "collided", f.seq))
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Simulate the whole scenario and resolve reception per overlap group."""
-    root = np.random.SeedSequence(config.seed)
-    streams = root.spawn(len(config.devices) + 1)
-    scenario_rng = np.random.default_rng(streams[0])
+    """Simulate the whole scenario in one pass over a heap of send attempts.
 
-    airtimes = {d.device_id: time_on_air(config.radio, d.payload_len) for d in config.devices}
+    Every frame starts at the instant its attempt pops, and attempts pop in
+    time order: a CAD re-check is queued one recheck interval later, and a
+    device's next packet no earlier than the end of its current frame.  So
+    frames start in pop order, and the latest frame end so far, ``busy_until``,
+    is both what CAD senses and the end of the overlap group being gathered.
+    The first attempt at or after that instant closes the group.
+    """
+    streams = np.random.SeedSequence(config.seed).spawn(len(config.devices) + 1)
+    scenario_rng = np.random.default_rng(streams[0])
 
     # Pre-draw all per-device randomness in packet order so that the event
     # interleaving cannot perturb the streams.
-    plans = []
-    for idx, dev in enumerate(config.devices):
-        rng = np.random.default_rng(streams[idx + 1])
-        if dev.start_offset_ms is None:
-            offset = float(scenario_rng.uniform(0.0, dev.start_offset_window_ms))
-        else:
-            offset = float(dev.start_offset_ms)
+    desired, backoffs, links = [], [], []
+    for dev, stream in zip(config.devices, streams[1:]):
+        rng = np.random.default_rng(stream)
+        offset = dev.start_offset_ms
+        if offset is None:
+            offset = scenario_rng.uniform(0.0, dev.start_offset_window_ms)
         n = dev.packet_count
-        jitter = (
-            rng.uniform(0.0, dev.interval_jitter_ms, size=n)
-            if dev.interval_jitter_ms > 0
-            else np.zeros(n)
-        )
-        backoffs = (
-            rng.uniform(0.0, config.cad_max_backoff_ms, size=n) if dev.cad_enabled else np.zeros(n)
-        )
-        links = [sample_link(dev.link_profile, rng) for _ in range(n)]
-        desired = offset + np.arange(n) * dev.send_interval_ms + np.cumsum(jitter)
-        plans.append({"dev": dev, "desired": desired, "backoffs": backoffs, "links": links})
+        jitter = np.zeros(n)
+        if dev.interval_jitter_ms > 0:
+            jitter = rng.uniform(0.0, dev.interval_jitter_ms, size=n)
+        cad_max = config.cad_max_backoff_ms
+        backoffs.append(rng.uniform(0.0, cad_max, size=n) if dev.cad_enabled else np.zeros(n))
+        links.append([sample_link(dev.link_profile, rng) for _ in range(n)])
+        desired.append(float(offset) + np.arange(n) * dev.send_interval_ms + np.cumsum(jitter))
+    airtimes = [time_on_air(config.radio, d.payload_len) for d in config.devices]
 
-    # Attempt heap: (time, tiebreak, device index, packet seq).  A CAD attempt
-    # that senses a busy channel is re-queued recheck_ms later; frames are
-    # scheduled at pop time, so every scheduled frame starts at or before any
-    # instant still being sensed.
-    heap: list[tuple[float, int, int, int]] = []
-    tiebreak = 0
-    for idx, plan in enumerate(plans):
-        dev = plan["dev"]
-        first = plan["desired"][0] + (plan["backoffs"][0] if dev.cad_enabled else 0.0)
-        heapq.heappush(heap, (first, tiebreak, idx, 0))
-        tiebreak += 1
-
-    frames: list[LoRaFrame] = []
-    backoff_events: list[Event] = []
-    max_busy_end = -np.inf  # all scheduled frames start <= current pop time
-
-    def schedule_next(idx: int, seq: int, prev_end: float) -> None:
-        nonlocal tiebreak
-        plan = plans[idx]
-        dev = plan["dev"]
-        if seq + 1 >= dev.packet_count:
-            return
-        # A device transmits sequentially: the next packet cannot start
-        # before the previous transmission has ended.
-        desired = max(plan["desired"][seq + 1], prev_end)
-        t = desired + (plan["backoffs"][seq + 1] if dev.cad_enabled else 0.0)
-        heapq.heappush(heap, (t, tiebreak, idx, seq + 1))
-        tiebreak += 1
-
-    while heap:
-        t, _, idx, seq = heapq.heappop(heap)
-        plan = plans[idx]
-        dev = plan["dev"]
-        if dev.cad_enabled and max_busy_end > t:
-            # Channel busy at the sensing instant: try again one recheck later.
-            heapq.heappush(heap, (t + config.cad_recheck_interval_ms, tiebreak, idx, seq))
-            tiebreak += 1
-            continue
-        rssi, snr = plan["links"][seq]
-        frame = LoRaFrame(
-            sender_id=dev.device_id,
-            payload_len=dev.payload_len,
-            start_time=t,
-            airtime=airtimes[dev.device_id],
-            rssi=rssi,
-            snr=snr,
-            seq=seq,
-        )
-        frames.append(frame)
-        max_busy_end = max(max_busy_end, frame.end_time)
-        if dev.cad_enabled and t > plan["desired"][seq]:
-            backoff_events.append(Event(float(plan["desired"][seq]), dev.device_id, "backoff", seq))
-        schedule_next(idx, seq, frame.end_time)
-
+    # Attempt heap: (time, tiebreak, device index, packet seq); the first
+    # attempts break ties by device index, later pushes in push order.
+    heap = [(d[0] + b[0], i, i, 0) for i, (d, b) in enumerate(zip(desired, backoffs))]
+    heapq.heapify(heap)
+    tiebreak = itertools.count(len(heap))
     stats = {
         d.device_id: DeviceStats(d.device_id, d.cad_enabled, d.payload_len) for d in config.devices
     }
-    events: list[Event] = list(backoff_events)
+    events: list[Event] = []
+    group: list[LoRaFrame] = []
+    busy_until = -np.inf
     collision_count = 0
-    for group in _group_overlaps(frames):
-        if len(group) > 1:
-            collision_count += 1
-        survivor = resolve_overlaps(group, config.capture_threshold_db)
-        for f in group:
-            st = stats[f.sender_id]
-            st.packets_sent += 1
-            events.append(Event(f.start_time, f.sender_id, "sent", f.seq))
-            if f is survivor:
-                st.packets_received += 1
-                st.rssi_received.append(f.rssi)
-                st.snr_received.append(f.snr)
-                st.received_seqs.append(f.seq)
-                events.append(Event(f.end_time, f.sender_id, "received", f.seq))
-            else:
-                events.append(Event(f.end_time, f.sender_id, "collided", f.seq))
+    while heap:
+        t, _, idx, seq = heapq.heappop(heap)
+        dev = config.devices[idx]
+        if t < busy_until:
+            if dev.cad_enabled:
+                # Channel busy at the sensing instant: try again one recheck later.
+                retry = t + config.cad_recheck_interval_ms
+                heapq.heappush(heap, (retry, next(tiebreak), idx, seq))
+                continue
+        elif group:
+            collision_count += len(group) > 1
+            _settle(group, config.capture_threshold_db, stats, events)
+            group = []
+        rssi, snr = links[idx][seq]
+        frame = LoRaFrame(dev.device_id, dev.payload_len, t, airtimes[idx], rssi, snr, seq)
+        group.append(frame)
+        busy_until = max(busy_until, frame.end_time)
+        if dev.cad_enabled and t > desired[idx][seq]:
+            events.append(Event(float(desired[idx][seq]), dev.device_id, "backoff", seq))
+        if seq + 1 < dev.packet_count:
+            # A device transmits sequentially: the next packet cannot start
+            # before the previous transmission has ended.
+            start = max(desired[idx][seq + 1], frame.end_time) + backoffs[idx][seq + 1]
+            heapq.heappush(heap, (start, next(tiebreak), idx, seq + 1))
+    collision_count += len(group) > 1
+    _settle(group, config.capture_threshold_db, stats, events)
 
     events.sort(key=lambda e: (e.t_ms, str(e.device_id), e.seq, EVENT_KINDS.index(e.kind)))
     return ScenarioResult(
         name=config.name,
         seed=config.seed,
-        devices=[stats[d.device_id] for d in config.devices],
+        devices=list(stats.values()),
         collision_count=collision_count,
         events=events,
     )
@@ -307,10 +270,7 @@ def summarize(result: ScenarioResult) -> list[dict]:
 
 def format_summary(result: ScenarioResult) -> str:
     header = ("Sc.", "CAD", "PRR", "Payload", "Mean RSSI", "Mean SNR")
-    rows = [
-        (r["scenario"], r["cad"], r["prr"], r["payload"], r["mean_rssi"], r["mean_snr"])
-        for r in summarize(result)
-    ]
+    rows = [tuple(r.values()) for r in summarize(result)]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for r in rows:
@@ -329,16 +289,13 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> ScenarioC
             dd = dict(dd)
             lp = dd.pop("link_profile")
             devices.append(DeviceConfig(link_profile=LinkProfile(**lp), **dd))
-        seed = doc.get("seed", 0) if seed_override is None else seed_override
-        return ScenarioConfig(
-            radio=radio,
-            devices=tuple(devices),
-            capture_threshold_db=doc.get("capture_threshold_db", 6.0),
-            cad_max_backoff_ms=doc.get("cad_max_backoff_ms", 2000.0),
-            cad_recheck_interval_ms=doc.get("cad_recheck_interval_ms", 100.0),
-            seed=seed,
-            name=str(doc.get("name", "")),
-        )
+        keys = ("capture_threshold_db", "cad_max_backoff_ms", "cad_recheck_interval_ms", "seed")
+        given = {key: doc[key] for key in keys if key in doc}
+        if seed_override is not None:
+            given["seed"] = seed_override
+        if "name" in doc:
+            given["name"] = str(doc["name"])
+        return ScenarioConfig(radio=radio, devices=tuple(devices), **given)
     except KeyError as exc:
         raise ConfigError(f"scenario config missing key: {exc}") from exc
     except TypeError as exc:

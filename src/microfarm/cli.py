@@ -27,18 +27,10 @@ from .bench import (
     write_curve_csv,
 )
 from .channel import format_summary, load_scenario, result_to_dict, run_scenario
-from .lora import ConfigError
-from .models import (
-    MODEL_KINDS,
-    DataError,
-    ModelError,
-    load_model,
-    recommend_top_n,
-)
+from .models import MODEL_KINDS, ModelError, load_model, recommend_top_n
 from .ratings import (
     DEFAULT_NEIGHBORS,
     ConfigurationError,
-    DimensionError,
     SoilProfile,
     complete_matrix,
     evaluate_completion,
@@ -51,19 +43,11 @@ from .ratings import (
     write_rating_csv,
     write_soils_csv,
 )
-from .telemetry import CodecError, StorageError
 
-USER_ERRORS = (
-    ConfigError,
-    ConfigurationError,
-    DimensionError,
-    ModelError,
-    DataError,
-    CodecError,
-    StorageError,
-    OSError,
-    ValueError,
-)
+# Every error the package raises for bad input subclasses one of these
+# (StorageError is an OSError; the config, model, data and codec errors are
+# ValueErrors).
+USER_ERRORS = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,11 +23,10 @@ import numpy as np
 
 from .ratings import (
     FEATURE_NAMES,
-    RATING_MAX,
-    RATING_MIN,
     FullRatingMatrix,
     SoilProfile,
     round_half_up,
+    to_ratings,
 )
 
 MODEL_KINDS = ("KNN", "Linear", "DecisionTree", "RandomForest", "GradientBoost")
@@ -488,11 +487,6 @@ def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) 
 # prediction
 
 
-def to_ratings(scores: np.ndarray) -> np.ndarray:
-    """Round continuous scores half up and clamp them to ratings 1..5."""
-    return np.clip(np.floor(scores + 0.5), RATING_MIN, RATING_MAX).astype(np.int64)
-
-
 def predict_matrix(model: TrainedModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous scores and rounded ratings for a raw feature matrix."""
     features = np.asarray(features, dtype=np.float64)
@@ -668,6 +662,9 @@ def load_model(path: str | Path) -> TrainedModel:
     if kind not in MODEL_KINDS:
         raise ModelError(f"unknown model kind {kind!r} in file")
     _require(isinstance(doc["hyperparams"], dict), "'hyperparams' is not an object")
+    for key, low in (("seed", 0), ("train_rows", 1)):
+        val = doc[key]  # an exact type check, since bool subclasses int
+        _require(type(val) is int and val >= low, f"{key!r} must be an int >= {low}, got {val!r}")
     scaling = _read_arrays(doc["scaling"], dict.fromkeys(("mean", "std"), (len(FEATURE_NAMES),)))
     _require((scaling["std"] > 0).all(), "scaling 'std' must be positive")
     family = kind if kind in ("KNN", "Linear") else "ensemble"

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import DeviceConfig, ScenarioConfig, result_to_dict, run_scenario
 from .lora import LinkProfile, RadioConfig
-from .models import dataset_from_soils, fit, recommend_top_n, save_model, to_ratings
+from .models import dataset_from_soils, fit, recommend_top_n, save_model
 from .ratings import (
     FEATURE_HIGH,
     FEATURE_LOW,
@@ -36,6 +36,7 @@ from .ratings import (
     evaluate_completion,
     generate_dataset,
     mask,
+    to_ratings,
     write_confusion_json,
     write_rating_csv,
     write_soils_csv,
@@ -106,7 +107,6 @@ def run_demo(
     out_dir: str | Path,
     seed: int = 0,
     retrain_period: int = 100,
-    model_kind: str = DEMO_MODEL_KIND,
     log=None,
 ) -> PipelineReport:
     """Run all six stages, write artifacts under ``out_dir``, return the report.
@@ -219,7 +219,7 @@ def run_demo(
     )
 
     # stage 6: train on the completed matrix, serve recommendations, retrain at T
-    model = fit(model_kind, dataset_from_soils(soils, completed), seed=fit_seed)
+    model = fit(DEMO_MODEL_KIND, dataset_from_soils(soils, completed), seed=fit_seed)
     save_model(model, out / "model.json")
     request_soils, _ = generate_dataset(retrain_period, seed=request_seed)
     grown_soils = list(soils)
@@ -245,7 +245,7 @@ def run_demo(
             grown_values = np.vstack([grown_values, rounded[None, :]])
             if count % retrain_period == 0:
                 model = fit(
-                    model_kind,
+                    DEMO_MODEL_KIND,
                     dataset_from_soils(grown_soils, FullRatingMatrix(grown_values)),
                     seed=fit_seed,
                 )
@@ -253,7 +253,7 @@ def run_demo(
                 report.retrain_counts.append(count)
     report.recommendations = retrain_period
     emit(
-        f"[6/6] recommend: {report.recommendations} requests served with {model_kind}, "
+        f"[6/6] recommend: {report.recommendations} requests served with {DEMO_MODEL_KIND}, "
         f"retrained at counts {report.retrain_counts}"
     )
 

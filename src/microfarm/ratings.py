@@ -43,6 +43,11 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def to_ratings(scores: np.ndarray) -> np.ndarray:
+    """Round continuous scores half up and clamp them to ratings 1..5."""
+    return np.clip(np.floor(scores + 0.5), RATING_MIN, RATING_MAX).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SoilProfile:
     """One soil sample: macro-nutrients in ppm, temperature, pH."""
@@ -217,7 +222,7 @@ def complete_matrix(s: SparseRatingMatrix, k: int = DEFAULT_NEIGHBORS) -> FullRa
             w = sims * ((sims > kth) | tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
             total = w.sum(axis=1)
             est = np.divide(w @ vals, total, out=np.full(rows.size, vals.mean()), where=total > 0)
-            out[rows, j] = np.clip(np.floor(est + 0.5), RATING_MIN, RATING_MAX)
+            out[rows, j] = to_ratings(est)
     return FullRatingMatrix(out, observed)
 
 
@@ -275,8 +280,7 @@ def _truth_ratings(features: np.ndarray) -> np.ndarray:
     # (m, plants, features) deviations
     dev = (features[:, None, :] - PLANT_MU[None, :, :]) / PLANT_SIGMA[None, :, :]
     d = np.sqrt((dev**2).sum(axis=2))
-    raw = np.floor(5.0 - RATING_ALPHA * d + 0.5)  # round half up
-    return np.clip(raw, RATING_MIN, RATING_MAX).astype(np.int64)
+    return to_ratings(5.0 - RATING_ALPHA * d)
 
 
 def generate_dataset(

@@ -171,6 +171,28 @@ def test_load_rejects_other_documents(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "not a seed"),
+        ("seed", -1),
+        ("seed", True),
+        ("seed", 1.0),
+        ("train_rows", [1, 2]),
+        ("train_rows", 0),
+        ("train_rows", None),
+    ],
+)
+def test_load_rejects_bad_seed_and_train_rows(key, value, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(fit("Linear", _dataset(40), seed=0), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=f"'{key}' must be an int"):
+        load_model(path)
+
+
 def test_recommend_returns_sorted_scores():
     model = fit("RandomForest", _dataset(60), seed=1)
     top = recommend_top_n(model, _soil(), 5)
