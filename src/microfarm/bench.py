@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import MODEL_KINDS, ModelError, dataset_from_soils, fit, predict_matrix, split
+from .models import MODEL_KINDS, Dataset, ModelError, dataset_from_soils, fit, predict_matrix
+from .models import split
 from .ratings import generate_dataset
 
 DEFAULT_SIZES = tuple(range(100, 10101, 1000))
@@ -52,11 +53,7 @@ def benchmark(
         raise ModelError("kinds and sizes must be non-empty")
     rows = []
     for i, size in enumerate(sizes):
-        # independent per-size substreams so cells never share random draws
-        children = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).spawn(3)
-        data_seed, split_seed, fit_seed = (int(c.generate_state(1)[0]) for c in children)
-        soils, truth = generate_dataset(size, seed=data_seed)
-        train, test = split(dataset_from_soils(soils, truth), seed=split_seed)
+        train, test, fit_seed = cell(size, i, seed)
         for kind in kinds:
             model = fit(kind, train, seed=fit_seed)
             start = time.perf_counter()
@@ -68,6 +65,18 @@ def benchmark(
             if progress is not None:
                 progress(rows[-1])
     return rows
+
+
+def cell(size: int, index: int, seed: int = 0) -> tuple[Dataset, Dataset, int]:
+    """The train and test sets and the fit seed of the sweep's index-th size.
+
+    Each index has independent substreams, so cells never share random draws.
+    """
+    children = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).spawn(3)
+    data_seed, split_seed, fit_seed = (int(c.generate_state(1)[0]) for c in children)
+    soils, truth = generate_dataset(size, seed=data_seed)
+    train, test = split(dataset_from_soils(soils, truth), seed=split_seed)
+    return train, test, fit_seed
 
 
 def write_bench_csv(path: str | Path, rows: list[BenchRow]) -> None:

@@ -27,6 +27,10 @@ from .lora import radio_config_from_dict, sample_link, time_on_air
 
 EVENT_KINDS = ("sent", "received", "collided", "backoff")
 
+# A device's schedule must end before this many ms of virtual time.  Near
+# it one ulp is 2**-12 ms, so every frame's airtime still moves time on.
+MAX_SCHEDULE_MS = 2.0**40
+
 
 @dataclass(frozen=True)
 class DeviceConfig:
@@ -36,6 +40,8 @@ class DeviceConfig:
     uniformly from [0, start_offset_window_ms) at scenario setup.
     ``interval_jitter_ms`` adds a uniform [0, jitter) delay to every
     inter-packet gap (accumulating), modelling device loop timing slack.
+    The schedule, |offset| (or the window) plus ``packet_count`` times the
+    interval and jitter, must end before ``MAX_SCHEDULE_MS``.
     """
 
     device_id: object
@@ -62,6 +68,14 @@ class DeviceConfig:
             raise ConfigError("start_offset_window_ms must be > 0 when start_offset_ms is None")
         if self.interval_jitter_ms < 0:
             raise ConfigError("interval_jitter_ms must be >= 0")
+        offset = self.start_offset_ms
+        start = self.start_offset_window_ms if offset is None else abs(offset)
+        end = start + self.packet_count * (self.send_interval_ms + self.interval_jitter_ms)
+        if not end < MAX_SCHEDULE_MS:
+            raise ConfigError(
+                "start_offset_ms (or start_offset_window_ms) + packet_count * (send_interval_ms"
+                f" + interval_jitter_ms) is {end:g} ms, not below the 2**40 ms limit"
+            )
 
 
 @dataclass(frozen=True)
@@ -221,6 +235,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             if dev.cad_enabled:
                 # Channel busy at the sensing instant: try again one recheck later.
                 retry = t + config.cad_recheck_interval_ms
+                if retry <= t:  # it would requeue at t forever
+                    raise ConfigError(f"cad_recheck_interval_ms no longer advances {t:g} ms")
                 heapq.heappush(heap, (retry, next(tiebreak), idx, seq))
                 continue
         elif group:
@@ -229,14 +245,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             group = []
         rssi, snr = links[idx][seq]
         frame = LoRaFrame(dev.device_id, dev.payload_len, t, airtimes[idx], rssi, snr, seq)
+        end = frame.end_time
+        if end <= t:  # it would overlap no frame that starts at t
+            raise ConfigError(f"a {frame.airtime:g} ms frame no longer advances {t:g} ms")
         group.append(frame)
-        busy_until = max(busy_until, frame.end_time)
+        busy_until = max(busy_until, end)
         if dev.cad_enabled and t > desired[idx][seq]:
             events.append(Event(float(desired[idx][seq]), dev.device_id, "backoff", seq))
         if seq + 1 < dev.packet_count:
             # A device transmits sequentially: the next packet cannot start
             # before the previous transmission has ended.
-            start = max(desired[idx][seq + 1], frame.end_time) + backoffs[idx][seq + 1]
+            start = max(desired[idx][seq + 1], end) + backoffs[idx][seq + 1]
             heapq.heappush(heap, (start, next(tiebreak), idx, seq + 1))
     collision_count += len(group) > 1
     _settle(group, config.capture_threshold_db, stats, events)

@@ -3,14 +3,17 @@
 Five model kinds share one lifecycle: standardize features with the
 training-set scaling, fit one independent regressor per plant column,
 predict continuous scores, then round and clamp to ratings in 1..5.
-All randomized kinds draw per-tree substreams from the master seed, and
-the substream for tree t does not depend on the plant column, so
-permuting label columns permutes predictions and nothing else.
+A RandomForest draws one substream per tree index t from the master seed,
+shared by every plant column: its bootstrap rows, then one sequence of
+candidate-feature sets, of which tree t's r-th node that may split (in
+that tree's own depth-first order) searches the r-th.  So permuting label
+columns permutes predictions and nothing else.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import numbers
@@ -143,8 +146,7 @@ def _grow_trees(
     rows: list[np.ndarray],
     max_depth: int,
     min_leaf: int,
-    rngs: list[np.random.Generator] | None = None,
-    n_sub: int | None = None,
+    cands: list[_CandidateSets] | None = None,
     train_out: list[np.ndarray] | None = None,
 ) -> list[dict]:
     """Greedy variance-reduction regression trees over binned features, grown in lockstep.
@@ -152,20 +154,22 @@ def _grow_trees(
     Tree t fits labels[t] on the training rows rows[t] (repeats allowed),
     with at least min_leaf >= 1 rows per leaf.  Returns parallel node arrays
     per tree; internal nodes hold a feature index and a threshold (go left
-    when x <= threshold), leaves hold feature -1.  With rngs, each node that
-    may split searches n_sub features drawn from its tree's generator.  With
-    train_out, each leaf value is scattered to train_out[t] at its rows.
+    when x <= threshold), leaves hold feature -1.  With cands, tree t's r-th
+    node that may split searches the features of cands[t].row(r); without,
+    every feature.  With train_out, each leaf value is scattered to
+    train_out[t] at its rows.
 
     Every tree keeps its own depth-first order: at each step each live tree
-    pops its next node.  Node numbering, and the order in which rngs[t]
-    draws, are therefore those of growing the tree alone.  The histograms of
-    a chunk of popped nodes come from one keyed bincount for counts and one
-    for sums.  A node's rows stay in position order, so each bin adds the
-    same values in the same order as a bincount per node and feature would.
+    pops its next node.  Node numbering, and which candidate set each node
+    searches, are therefore those of growing the tree alone.  The histograms
+    of a chunk of popped nodes come from one keyed bincount for counts and
+    one for sums.  A node's rows stay in position order, so each bin adds
+    the same values in the same order as a bincount per node and feature
+    would.
     """
     n_trees, n_features = len(rows), bins.shape[0]
-    draw = rngs is not None and n_sub is not None and n_sub < n_features
-    n_cand = n_sub if draw else n_features
+    n_cand = cands[0].size if cands else n_features
+    all_features = np.arange(n_features)
     # the bins of every feature are padded to the widest
     width = max(e.size for e in edges) + 1
     thresholds = np.zeros((n_features, width))
@@ -174,13 +178,15 @@ def _grow_trees(
 
     stacks = [[(0, r, 0)] for r in rows]  # (node, rows in position order, depth)
     n_nodes = [1] * n_trees
+    n_grown = [0] * n_trees  # nodes that may split, so far, per tree
     node_tree: list[int] = []
     node_id: list[int] = []
     node_value: list[float] = []
     splits: list[tuple[int, int, int, int, int]] = []  # (tree, node, feature, bin, left child)
     live = range(n_trees)
     while live:
-        grow = []  # the popped nodes that may split: (tree, node, rows, depth, labels, total)
+        # the popped nodes that may split: (tree, node, rows, depth, labels, total, features)
+        grow = []
         for t in live:
             node, src, depth = stacks[t].pop()
             sub = labels[t][src]
@@ -189,24 +195,19 @@ def _grow_trees(
             node_id.append(node)
             node_value.append(total / src.size)
             if depth < max_depth and src.size >= 2 * min_leaf:
-                grow.append((t, node, src, depth, sub, total))
+                features = cands[t].row(n_grown[t]) if cands else all_features
+                n_grown[t] += 1
+                grow.append((t, node, src, depth, sub, total, features))
             elif train_out is not None:
                 train_out[t][src] = node_value[-1]
         for lo, hi in _chunks([g[2].size for g in grow], n_cand, width):
             chunk = grow[lo:hi]
-            if draw:
-                # each tree draws from its own generator, once per node in its
-                # own depth-first order; any other order would draw other
-                # features for the same node and change the forest
-                cand = np.array(
-                    [np.sort(rngs[t].choice(n_features, n_sub, replace=False)) for t, *_ in chunk]
-                )
-            else:
-                cand = np.tile(np.arange(n_features), (len(chunk), 1))
-            _, _, srcs, _, subs, totals = zip(*chunk)
+            _, _, srcs, _, subs, totals, cand = zip(*chunk)
+            cand = np.array(cand, dtype=np.intp)
             split, which, at, binned = _best_splits(srcs, subs, totals, cand, bins, width, min_leaf)
             end = 0
-            for (t, node, src, depth, _, total), s, w, b, c in zip(chunk, split, which, at, cand):
+            decided = zip(chunk, split, which, at, cand)
+            for (t, node, src, depth, _, total, _), s, w, b, c in decided:
                 side = binned[w, end : end + src.size] <= b
                 end += src.size
                 if s:
@@ -271,15 +272,21 @@ def _best_splits(srcs, subs, totals, cand, bins, width, min_leaf):
     cells = k * n_cand * width
     cnt = np.bincount(key, minlength=cells).reshape(k, n_cand, width)
     sums = np.bincount(key, weights=weights, minlength=cells).reshape(k, n_cand, width)
-    nl = np.cumsum(cnt[:, :, :-1], axis=2).astype(np.float64)  # exact; divides faster
+    nl = np.cumsum(cnt[:, :, :-1], axis=2, dtype=np.float64)  # exact; divides faster
     sl = np.cumsum(sums[:, :, :-1], axis=2)
     nr = sizes[:, None, None] - nl
     sr = totals[:, None, None] - sl
     # a padded bin has all the node's rows on its left, so it fails min_leaf
-    ok = (nl >= min_leaf) & (nr >= min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only where not ok
-        score = sl * sl / nl + sr * sr / nr
-    score = np.where(ok, score, -np.inf).reshape(k, -1)
+    fails = (nl < min_leaf) | (nr < min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where it fails
+        # sl * sl / nl + sr * sr / nr, rounded step by step as written
+        score = np.multiply(sl, sl, out=sl)
+        score /= nl
+        sr *= sr
+        sr /= nr
+        score += sr
+    score[fails] = -np.inf
+    score = score.reshape(k, -1)
     best = score.argmax(axis=1)  # first candidate, then first bin, at the maximum
     split = score[np.arange(k), best] > totals * totals / sizes + 1e-12
     which, at = np.divmod(best, width - 1)
@@ -440,30 +447,102 @@ def _fit_decision_tree(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -
     return _pack(trees, np.zeros(n_plants), 1.0, 1.0)
 
 
-# A forest grows its (plant, tree) jobs in groups whose bootstrap samples
+class _CandidateSets:
+    """The feature sets that successive rng.choice(pop, size, replace=False) calls draw.
+
+    row(r) equals np.sort(rng.choice(pop, size, replace=False)) on the
+    (r+1)-th such call from the generator's state at construction, as uint8.
+    The rows are decoded lazily, a block at a time, from the same 32-bit
+    words read with rng.integers(0, 2**32, dtype=np.uint32); a row once
+    decoded is the same whichever caller asks for it first.
+
+    For pop <= 10000 NumPy samples without replacement by Floyd's algorithm
+    (Bentley & Floyd, CACM 1987): for j = pop-size .. pop-1 it draws v in
+    [0, j] and takes v, or j when v is already taken.  It then shuffles the
+    sample (Fisher-Yates), whose draws in [0, i] for i = size-1 .. 1 are
+    read and discarded here, since the rows are sorted.  Each draw below an
+    exclusive bound b is Lemire's method on one word w (ACM TOMACS 2019):
+    the product p = w * b gives p >> 32, unless its low half is below
+    (2**32 - b) % b, in which case the next word is tried.
+    """
+
+    def __init__(self, rng: np.random.Generator, pop: int, size: int) -> None:
+        # uint8 rows; NumPy takes Floyd's branch for every pop up to 10000
+        if not 1 <= size < pop <= 256:
+            raise ValueError(f"decodes Floyd's branch for 1 <= size < pop <= 256, not {size}, {pop}")
+        self.rng, self.pop, self.size = rng, pop, size
+        # one choice call's exclusive bounds: Floyd's j + 1, then the shuffle's i + 1
+        self.bounds = np.r_[pop - size + 1 : pop + 1, size:1:-1].astype(np.uint64)
+        self.rejected = (2**32 - self.bounds) % self.bounds  # low halves below this redraw
+        self.sets = np.empty((0, size), np.uint8)
+
+    def row(self, r: int) -> np.ndarray:
+        if r >= len(self.sets):
+            self._decode(max(r + 1 - len(self.sets), len(self.sets), 32))
+        return self.sets[r]
+
+    def _decode(self, n: int) -> None:
+        """Append the next n rows."""
+        words = self.rng.integers(0, 2**32, size=n * self.bounds.size, dtype=np.uint32)
+        products = words.reshape(n, -1).astype(np.uint64) * self.bounds
+        if ((products & 0xFFFFFFFF) < self.rejected).any():
+            products = self._redrawn(words.tolist(), n)
+        drawn = products[:, : self.size] >> 32
+        sets = np.empty((n, self.size), np.uint8)
+        for k, j in enumerate(range(self.pop - self.size, self.pop)):
+            taken = (sets[:, :k] == drawn[:, k : k + 1]).any(axis=1)
+            sets[:, k] = np.where(taken, j, drawn[:, k])
+        sets.sort(axis=1)
+        self.sets = np.concatenate([self.sets, sets])
+
+    def _redrawn(self, words: list[int], n: int) -> np.ndarray:
+        """The accepted products of n calls, word by word, reading on past `words` as needed."""
+        more = iter(lambda: int(self.rng.integers(0, 2**32, dtype=np.uint32)), None)
+        stream = itertools.chain(words, more)
+        limits = list(zip(self.bounds.tolist(), self.rejected.tolist()))
+        out = np.empty((n, len(limits)), np.uint64)
+        for row in out:
+            for k, (bound, rejected) in enumerate(limits):
+                product = next(stream) * bound
+                while product & 0xFFFFFFFF < rejected:
+                    product = next(stream) * bound
+                row[k] = product
+        return out
+
+
+# A forest grows its (tree, plant) jobs in groups whose bootstrap samples
 # hold at most this many rows together, which bounds the rows in flight.
 _FOREST_ROWS = 1 << 16
 
 
 def _fit_forest(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict, seed: int) -> dict:
     m, n_plants = y.shape
+    n_sub, n_features = hp["feature_subsample"], bins.shape[0]
     seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
-    jobs = [(j, t) for j in range(n_plants) for t in range(hp["trees"])]
+    # tree-major, so that a tree index's rows and candidate sets are
+    # dropped once its last plant has grown
+    jobs = [(t, j) for t in range(hp["trees"]) for j in range(n_plants)]
     per_group = max(1, _FOREST_ROWS // m)
-    trees = []
+    shared = {}  # tree index -> (bootstrap rows, candidate sets)
+    trees = {}
     for first in range(0, len(jobs), per_group):
         group = jobs[first : first + per_group]
-        # identical substream per tree index across plant columns; it draws
-        # the bootstrap rows, then each node's candidate features in the
-        # tree's depth-first order, which _grow_trees keeps per tree
-        rngs = [np.random.default_rng(seeds[t]) for _, t in group]
-        rows = [rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m) for rng in rngs]
-        rows = [r.astype(np.int32) for r in rows]  # halves the rows in flight
-        labels = [y[:, j] for j, _ in group]
-        trees += _grow_trees(
-            bins, edges, labels, rows, hp["max_depth"], 1, rngs=rngs, n_sub=hp["feature_subsample"]
-        )
-    return _pack(trees, np.zeros(n_plants), 1.0, hp["trees"])
+        for t, _ in group:
+            if t not in shared:
+                # one substream per tree index, identical for every plant
+                rng = np.random.default_rng(seeds[t])
+                rows = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
+                cands = _CandidateSets(rng, n_features, n_sub) if n_sub < n_features else None
+                shared[t] = (rows.astype(np.int32), cands)  # int32 halves the rows in flight
+        rows, cands = zip(*(shared[t] for t, _ in group))
+        labels = [y[:, j] for _, j in group]
+        cands = list(cands) if n_sub < n_features else None
+        grown = _grow_trees(bins, edges, labels, list(rows), hp["max_depth"], 1, cands=cands)
+        trees.update(zip(group, grown))
+        last = group[-1][0]
+        shared = {last: shared[last]}
+    plant_major = [trees[t, j] for j in range(n_plants) for t in range(hp["trees"])]
+    return _pack(plant_major, np.zeros(n_plants), 1.0, hp["trees"])
 
 
 def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -> dict:

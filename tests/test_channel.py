@@ -107,6 +107,48 @@ def test_cad_prevents_aligned_collisions():
     assert any(e.kind == "backoff" for e in result.events)
 
 
+def _aligned_pair(offset):
+    return tuple(
+        DeviceConfig(
+            device_id=i, payload_len=20, link_profile=STRONG, packet_count=5,
+            start_offset_ms=offset,
+        )
+        for i in range(2)
+    )
+
+
+def test_a_schedule_past_the_limit_is_refused():
+    # at 1e20 ms a frame's airtime rounds away, so these aligned frames
+    # would no longer overlap and both would be received
+    result = run_scenario(ScenarioConfig(radio=RadioConfig(), devices=_aligned_pair(0.0)))
+    assert result.collision_count == 5
+    with pytest.raises(ConfigError, match=r"2\*\*40 ms"):
+        _aligned_pair(1e20)
+    last = (2**40 - 1) - 5 * 5000.0
+    assert _aligned_pair(last)[0].start_offset_ms == last
+    for far in (2.0**40, -(2.0**40), 1e308):
+        with pytest.raises(ConfigError, match="start_offset_ms"):
+            DeviceConfig(device_id=0, payload_len=20, link_profile=STRONG, start_offset_ms=far)
+    with pytest.raises(ConfigError, match="send_interval_ms"):
+        DeviceConfig(
+            device_id=0, payload_len=20, link_profile=STRONG, packet_count=10,
+            send_interval_ms=2.0**37,
+        )
+
+
+def test_steps_that_no_longer_advance_time_are_refused():
+    # a frame too short for its instant, from a hostile bandwidth
+    fast = RadioConfig(bandwidth_hz=1e18)
+    far = _aligned_pair(1e5)
+    with pytest.raises(ConfigError, match="frame no longer advances"):
+        run_scenario(ScenarioConfig(radio=fast, devices=far))
+    # a CAD re-check that would requeue at the same instant forever
+    devices = _two_device_config(cad=True).devices
+    config = ScenarioConfig(radio=RadioConfig(), devices=devices, cad_recheck_interval_ms=1e-300)
+    with pytest.raises(ConfigError, match="cad_recheck_interval_ms"):
+        run_scenario(config)
+
+
 def test_deterministic_per_seed():
     a = run_scenario(_two_device_config(cad=False, offset_window=200.0, seed=9))
     b = run_scenario(_two_device_config(cad=False, offset_window=200.0, seed=9))

@@ -75,6 +75,8 @@ HOSTILE_SCENARIOS = {
     "fractional preamble_symbols": (("radio",), "preamble_symbols", 2.5),
     "string explicit_header": (("radio",), "explicit_header", "no"),
     "integer crc_enabled": (("radio",), "crc_enabled", 1),
+    "start_offset_ms past 2**40 ms": (("devices", 1), "start_offset_ms", 1e20),
+    "cad_recheck_interval_ms below one ulp": ((), "cad_recheck_interval_ms", 1e-300),
 }
 
 

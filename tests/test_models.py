@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microfarm import models
+from microfarm import bench, models
 from microfarm.models import (
     DEFAULT_HYPERPARAMS,
     MODEL_KINDS,
@@ -584,10 +584,118 @@ def test_forests_equal_the_reference_in_any_grouping(
 ):
     bins, edges, y = problem
     hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=bootstrap)
-    # groups of group_trees (plant, tree) jobs, so that groups split plants
+    # groups of group_trees (tree, plant) jobs, so that groups split a tree
+    # index's plants and its shared candidate sets
     with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0]):
         got = models._fit_forest(bins, edges, y, hp, seed)
     _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
+
+
+# --- candidate sets decoded from the generator's words ----------------------
+
+
+def _untemper(y):
+    """The MT19937 state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & 0xFFFFFFFF
+
+
+def _generator_of_words(words):
+    """A Generator whose next 32-bit outputs are words, then MT19937's own."""
+    bit_gen = np.random.MT19937(0)
+    key = bit_gen.state["state"]["key"].copy()
+    key[: len(words)] = [_untemper(w) for w in words]
+    bit_gen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bit_gen)
+
+
+def _assert_rows_are_choice_calls(sets, rng, pop, size, calls):
+    for k in range(calls):
+        want = np.sort(rng.choice(pop, size, replace=False))
+        got = sets.row(k)
+        assert got.dtype == np.uint8
+        assert got.tolist() == want.tolist(), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pop=st.integers(2, 12),
+    seed=st.integers(0, 2**64 - 1),
+    prefix=st.integers(0, 9),
+    high=st.integers(1, 2**40),
+)
+def test_candidate_sets_are_the_sorted_choice_calls(pop, seed, prefix, high):
+    for size in range(1, pop):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        # a bootstrap before the draws; an odd number of 32-bit draws leaves
+        # half of a 64-bit output buffered
+        for rng in (want, got):
+            rng.integers(0, high, size=prefix)
+        _assert_rows_are_choice_calls(models._CandidateSets(got, pop, size), want, pop, size, 200)
+
+
+# words that Lemire's rule rejects for some bounds in 2..12: 0 for every
+# bound that is not a power of two, 2**31 for 6, 10 and 12
+_HOSTILE_WORD = st.one_of(st.sampled_from([0, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pop=st.integers(2, 12),
+    data=st.data(),
+    words=st.lists(_HOSTILE_WORD, max_size=400),
+)
+def test_candidate_sets_redraw_rejected_words_as_choice_does(pop, data, words):
+    size = data.draw(st.integers(1, pop - 1))
+    sets = models._CandidateSets(_generator_of_words(words), pop, size)
+    _assert_rows_are_choice_calls(sets, _generator_of_words(words), pop, size, 120)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(150)))
+def test_candidate_rows_do_not_depend_on_which_row_is_asked_first(seed, order):
+    ahead = models._CandidateSets(np.random.default_rng(seed), 5, 2)
+    asked = {r: ahead.row(r).tolist() for r in order}
+    in_turn = models._CandidateSets(np.random.default_rng(seed), 5, 2)
+    assert [asked[r] for r in range(150)] == [in_turn.row(r).tolist() for r in range(150)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_binned_problem(plants=st.integers(2, 3)), seed=st.integers(0, 2**16))
+def test_shared_candidate_sets_serve_every_plant_tree_alike(problem, seed):
+    bins, edges, y = problem
+    m, n_plants = y.shape
+
+    def grow(order):
+        # one decoder for all the plant trees, which ask for rows in turn
+        cands = models._CandidateSets(np.random.default_rng(seed), 5, 2)
+        labels = [y[:, j] for j in order]
+        trees = models._grow_trees(
+            bins, edges, labels, [np.arange(m)] * len(order), 8, 1, cands=[cands] * len(order)
+        )
+        return dict(zip(order, trees))
+
+    alone = {}
+    for j in range(n_plants):
+        alone.update(grow([j]))
+    for order in (list(range(n_plants)), list(reversed(range(n_plants)))):
+        shared = grow(order)
+        for j in range(n_plants):
+            _assert_same_arrays(shared[j], alone[j])
+
+
+@pytest.mark.parametrize("pop, size", [(5, 0), (5, 5), (2, 3), (257, 2)])
+def test_candidate_sets_refuse_what_they_cannot_decode(pop, size):
+    with pytest.raises(ValueError, match="Floyd's branch"):
+        models._CandidateSets(np.random.default_rng(0), pop, size)
 
 
 def _fractional_dataset(m, seed):
@@ -647,3 +755,17 @@ def test_saved_tree_models_match_pinned_digests(kind, tmp_path):
     # the decoded arrays are those the /2 format held, bit for bit
     text = _format_2_text(load_model(path))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_DIGESTS[kind]
+
+
+# sha256 of the save_model file of the default RandomForest fit on the
+# size-500 cell (400 training rows) of benchmark(sizes=(100, 500), seed=0),
+# recorded from the forest that drew candidates with Generator.choice
+SAVED_FOREST_500_DIGEST = "c95e2d2088fe637fdb6ecfe7da7240d2e394c59cdc0a802da74f966ae41fea2f"
+
+
+def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
+    train, _, fit_seed = bench.cell(500, 1, seed=0)
+    assert train.m == 400
+    path = tmp_path / "model.json"
+    save_model(fit("RandomForest", train, seed=fit_seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FOREST_500_DIGEST
