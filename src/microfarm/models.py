@@ -7,18 +7,18 @@ A RandomForest draws one substream per tree index t from the master seed,
 shared by every plant column: its bootstrap rows, then one sequence of
 candidate-feature sets, of which tree t's r-th node that may split (in
 that tree's own depth-first order) searches the r-th.  So permuting label
-columns permutes predictions and nothing else.
+columns permutes predictions and nothing else.  The forest grows in groups
+of whole tree indices, each with all its plant trees, so a tree index's
+rows and candidate sets are decoded once and dropped with its group.
 """
 
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import math
 import numbers
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -361,7 +361,6 @@ class TrainedModel:
     params: dict
     seed: int
     train_rows: int
-    train_ms: float
 
     @property
     def n_plants(self) -> int:
@@ -401,7 +400,6 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
     if bad.size:
         raise DataError(f"feature column {FEATURE_NAMES[bad[0]]!r} has zero variance")
     hp = _check_hyperparams(kind, hyperparams or {})
-    start = time.perf_counter()
     xs = _standardize(train.features, train.mean, train.std)
     y = train.labels
     if kind == "KNN":
@@ -416,7 +414,6 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
             params = _fit_forest(bins, edges, y, hp, seed)
         else:
             params = _fit_gradient_boost(bins, edges, y, hp)
-    train_ms = (time.perf_counter() - start) * 1000.0
     return TrainedModel(
         kind=kind,
         hyperparams=hp,
@@ -425,7 +422,6 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
         params=params,
         seed=seed,
         train_rows=train.m,
-        train_ms=train_ms,
     )
 
 
@@ -452,8 +448,8 @@ class _CandidateSets:
 
     row(r) equals np.sort(rng.choice(pop, size, replace=False)) on the
     (r+1)-th such call from the generator's state at construction, as uint8.
-    The rows are decoded lazily, a block at a time, from the same 32-bit
-    words read with rng.integers(0, 2**32, dtype=np.uint32); a row once
+    Rows are decoded lazily and in order, word by word, from the same 32-bit
+    words that rng.integers(0, 2**32, dtype=np.uint32) reads; a row once
     decoded is the same whichever caller asks for it first.
 
     For pop <= 10000 NumPy samples without replacement by Floyd's algorithm
@@ -471,47 +467,39 @@ class _CandidateSets:
         if not 1 <= size < pop <= 256:
             raise ValueError(f"decodes Floyd's branch for 1 <= size < pop <= 256, not {size}, {pop}")
         self.rng, self.pop, self.size = rng, pop, size
-        # one choice call's exclusive bounds: Floyd's j + 1, then the shuffle's i + 1
-        self.bounds = np.r_[pop - size + 1 : pop + 1, size:1:-1].astype(np.uint64)
-        self.rejected = (2**32 - self.bounds) % self.bounds  # low halves below this redraw
-        self.sets = np.empty((0, size), np.uint8)
+        self.sets: list[np.ndarray] = []
+        self.words: list[int] = []  # read ahead, last word first
 
     def row(self, r: int) -> np.ndarray:
-        if r >= len(self.sets):
-            self._decode(max(r + 1 - len(self.sets), len(self.sets), 32))
+        while len(self.sets) <= r:
+            picked: list[int] = []
+            for j in range(self.pop - self.size, self.pop):
+                v = self._below(j + 1)
+                picked.append(j if v in picked else v)
+            for i in range(self.size, 1, -1):
+                self._below(i)  # the shuffle's draw
+            self.sets.append(np.array(sorted(picked), np.uint8))
         return self.sets[r]
 
-    def _decode(self, n: int) -> None:
-        """Append the next n rows."""
-        words = self.rng.integers(0, 2**32, size=n * self.bounds.size, dtype=np.uint32)
-        products = words.reshape(n, -1).astype(np.uint64) * self.bounds
-        if ((products & 0xFFFFFFFF) < self.rejected).any():
-            products = self._redrawn(words.tolist(), n)
-        drawn = products[:, : self.size] >> 32
-        sets = np.empty((n, self.size), np.uint8)
-        for k, j in enumerate(range(self.pop - self.size, self.pop)):
-            taken = (sets[:, :k] == drawn[:, k : k + 1]).any(axis=1)
-            sets[:, k] = np.where(taken, j, drawn[:, k])
-        sets.sort(axis=1)
-        self.sets = np.concatenate([self.sets, sets])
-
-    def _redrawn(self, words: list[int], n: int) -> np.ndarray:
-        """The accepted products of n calls, word by word, reading on past `words` as needed."""
-        more = iter(lambda: int(self.rng.integers(0, 2**32, dtype=np.uint32)), None)
-        stream = itertools.chain(words, more)
-        limits = list(zip(self.bounds.tolist(), self.rejected.tolist()))
-        out = np.empty((n, len(limits)), np.uint64)
-        for row in out:
-            for k, (bound, rejected) in enumerate(limits):
-                product = next(stream) * bound
-                while product & 0xFFFFFFFF < rejected:
-                    product = next(stream) * bound
-                row[k] = product
-        return out
+    def _below(self, bound: int) -> int:
+        """Lemire's draw in [0, bound) from the next words."""
+        rejected = (2**32 - bound) % bound
+        while True:
+            if not self.words:
+                # Reading ahead leaves rng past words no row has used yet.
+                # That is safe only while nothing else draws from rng once
+                # the candidate sets start, as in a forest's tree-index
+                # substream, which draws its bootstrap rows first.
+                block = self.rng.integers(0, 2**32, size=64, dtype=np.uint32)
+                self.words = block.tolist()[::-1]
+            product = self.words.pop() * bound
+            if product & 0xFFFFFFFF >= rejected:
+                return product >> 32
 
 
-# A forest grows its (tree, plant) jobs in groups whose bootstrap samples
-# hold at most this many rows together, which bounds the rows in flight.
+# A forest grows its trees in groups of whole tree indices, every plant's
+# tree of each, whose bootstrap samples hold at most this many rows together
+# (or one tree index's), which bounds the rows in flight.
 _FOREST_ROWS = 1 << 16
 
 
@@ -519,29 +507,20 @@ def _fit_forest(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict, seed: in
     m, n_plants = y.shape
     n_sub, n_features = hp["feature_subsample"], bins.shape[0]
     seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
-    # tree-major, so that a tree index's rows and candidate sets are
-    # dropped once its last plant has grown
-    jobs = [(t, j) for t in range(hp["trees"]) for j in range(n_plants)]
-    per_group = max(1, _FOREST_ROWS // m)
-    shared = {}  # tree index -> (bootstrap rows, candidate sets)
-    trees = {}
-    for first in range(0, len(jobs), per_group):
-        group = jobs[first : first + per_group]
-        for t, _ in group:
-            if t not in shared:
-                # one substream per tree index, identical for every plant
-                rng = np.random.default_rng(seeds[t])
-                rows = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
-                cands = _CandidateSets(rng, n_features, n_sub) if n_sub < n_features else None
-                shared[t] = (rows.astype(np.int32), cands)  # int32 halves the rows in flight
-        rows, cands = zip(*(shared[t] for t, _ in group))
-        labels = [y[:, j] for _, j in group]
-        cands = list(cands) if n_sub < n_features else None
-        grown = _grow_trees(bins, edges, labels, list(rows), hp["max_depth"], 1, cands=cands)
-        trees.update(zip(group, grown))
-        last = group[-1][0]
-        shared = {last: shared[last]}
-    plant_major = [trees[t, j] for j in range(n_plants) for t in range(hp["trees"])]
+    per_group = max(1, _FOREST_ROWS // (m * n_plants))
+    trees = []  # tree-major
+    for first in range(0, hp["trees"], per_group):
+        rows, cands = [], []
+        for child in seeds[first : first + per_group]:
+            # one substream per tree index, identical for every plant
+            rng = np.random.default_rng(child)
+            boot = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
+            rows += [boot.astype(np.int32)] * n_plants  # int32 halves the rows in flight
+            if n_sub < n_features:
+                cands += [_CandidateSets(rng, n_features, n_sub)] * n_plants
+        labels = [y[:, j] for j in range(n_plants)] * (len(rows) // n_plants)
+        trees += _grow_trees(bins, edges, labels, rows, hp["max_depth"], 1, cands=cands or None)
+    plant_major = [trees[t * n_plants + j] for j in range(n_plants) for t in range(hp["trees"])]
     return _pack(plant_major, np.zeros(n_plants), 1.0, hp["trees"])
 
 
@@ -758,5 +737,4 @@ def load_model(path: str | Path) -> TrainedModel:
         params=params,
         seed=doc["seed"],
         train_rows=doc["train_rows"],
-        train_ms=0.0,
     )

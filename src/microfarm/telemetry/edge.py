@@ -20,11 +20,11 @@ holds is still appended, but flagged ``duplicate`` and never forwarded.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, fields, replace
 from itertools import islice
-from math import inf
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -49,7 +49,8 @@ def read_log(path: Path, parse: Callable[[str], T]) -> tuple[list[T], int]:
     ``parse(line)`` for each complete line, without its newline, and the
     number of torn tails cut (0 or 1).  A missing file reads as empty.  A
     complete line that is not UTF-8 or that ``parse`` rejects (ValueError,
-    KeyError or TypeError) raises StorageError naming the file and line.
+    KeyError, TypeError or OverflowError) raises StorageError naming the
+    file and line.
     """
     try:
         data = path.read_bytes()
@@ -62,7 +63,7 @@ def read_log(path: Path, parse: Callable[[str], T]) -> tuple[list[T], int]:
     for number, raw in enumerate(data[:end].split(b"\n")[:-1], start=1):
         try:
             parsed.append(parse(raw.decode("utf-8")))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             what = f"{path} line {number}: unreadable record {raw[:60]!r}"
             raise StorageError(f"{what} ({exc})") from exc
     return parsed, int(end < len(data))
@@ -122,22 +123,22 @@ def _forward_id(line: str) -> tuple[int, int]:
 class EdgeStore:
     """Durable per-device record logs under one directory.
 
-    ``clock`` returns the current edge time in ms; it defaults to a virtual
-    counter advancing 1 ms per ingest so tests and demo runs are
-    deterministic.  Appends and the owed records are guarded by an internal
-    lock; forwarding passes take ``forward_lock`` (single-flight, see
-    cloud.forward_batch).  ``torn_tails`` counts the logs whose torn last
+    Records are stamped by a virtual clock that advances 1 ms per ingest, so
+    tests and demo runs are deterministic.  A reopened store resumes it from
+    the largest logged ``received_at_ms``, rounded down, so receive times
+    keep rising across reopens.  Appends and the owed records are guarded by
+    an internal lock; forwarding passes take ``forward_lock`` (single-flight,
+    see cloud.forward_batch).  ``torn_tails`` counts the logs whose torn last
     line was cut on open.
     """
 
-    def __init__(self, root: str | Path, clock: Callable[[], float] | None = None) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StorageError(f"cannot create store directory {self.root}: {exc}") from exc
-        self._ticks = 0
-        self._clock = clock if clock is not None else self._virtual_clock
+        self._ticks = 0  # the virtual clock: ms of the latest stamp
         self._write_lock = threading.Lock()
         self.forward_lock = threading.Lock()
         self._forward_log = self.root / "forwarded.log"
@@ -146,14 +147,9 @@ class EdgeStore:
         self._held: set[tuple[int, int]] = set()  # keys of non-duplicate records
         self._forwarded: set[tuple[int, int]] = set()  # keys in forwarded.log
         self._owed: dict[tuple[int, int], EdgeRecord] = {}  # held, not forwarded, in log order
-        self._last_received_at: dict[int, float] = {}
         self._paths: dict[int, Path] = {}  # each device's log, built once
         self.torn_tails = 0
         self._load()
-
-    def _virtual_clock(self) -> float:
-        self._ticks += 1
-        return float(self._ticks)
 
     def _device_path(self, device_id: int) -> Path:
         path = self._paths.get(device_id)
@@ -170,6 +166,7 @@ class EdgeStore:
     def _replay(self, line: str) -> None:
         """Keep one logged record; its position follows from the device's earlier ones."""
         obj = json.loads(line)
+        self._ticks = max(self._ticks, math.floor(obj["received_at_ms"]))
         self._keep(EdgeRecord.from_json_obj(obj, self._position(obj["device_id"], obj["seq"])))
 
     def _position(self, device_id: int, seq: int) -> int:
@@ -185,8 +182,6 @@ class EdgeStore:
             self._held.add(key)
             if key not in self._forwarded:
                 self._owed[key] = rec
-        seen = self._last_received_at.get(dev, rec.received_at_ms)
-        self._last_received_at[dev] = max(rec.received_at_ms, seen)
         self._records.append(rec)
 
     def _view(self, rec: EdgeRecord) -> EdgeRecord:
@@ -201,12 +196,11 @@ class EdgeStore:
         """
         reading = decode_reading(frame_payload)
         with self._write_lock:
-            # Per-device receive times must never run backwards in the log.
-            now = max(float(self._clock()), self._last_received_at.get(reading.device_id, -inf))
+            self._ticks += 1
             position = self._position(reading.device_id, reading.seq)
             rec = EdgeRecord(
                 reading=reading,
-                received_at_ms=now,
+                received_at_ms=float(self._ticks),
                 rssi_dbm=float(link[0]),
                 snr_db=float(link[1]),
                 duplicate=(reading.device_id, position) in self._held,

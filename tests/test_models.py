@@ -584,9 +584,9 @@ def test_forests_equal_the_reference_in_any_grouping(
 ):
     bins, edges, y = problem
     hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=bootstrap)
-    # groups of group_trees (tree, plant) jobs, so that groups split a tree
-    # index's plants and its shared candidate sets
-    with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0]):
+    # groups of group_trees whole tree indices, each with every plant's tree,
+    # so that a group ends inside the forest or past its last tree index
+    with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0] * y.shape[1]):
         got = models._fit_forest(bins, edges, y, hp, seed)
     _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
 

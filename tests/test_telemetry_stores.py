@@ -9,6 +9,7 @@ from microfarm.telemetry import (
     InMemoryCloudSink,
     IntegrityError,
     SensorReading,
+    StorageError,
     encode_reading,
     forward_batch,
 )
@@ -41,9 +42,26 @@ def test_ingest_returns_record_with_metadata(tmp_path):
 def test_virtual_clock_is_monotonic_per_device(tmp_path):
     store = EdgeStore(tmp_path)
     _fill(store, count=4)
-    stamps = [r.received_at_ms for r in store.records(1)]
-    assert stamps == sorted(stamps)
-    assert len(set(stamps)) == len(stamps)
+    _fill(store, device_id=2, count=5)
+    # a reopened store resumes the clock where its log left off
+    store = EdgeStore(tmp_path)
+    for seq in range(4, 8):
+        store.ingest(_frame(device_id=1, seq=seq), (-60.0, 8.0))
+    for device_id in (1, 2):
+        stamps = [r.received_at_ms for r in EdgeStore(tmp_path).records(device_id)]
+        assert all(a < b for a, b in zip(stamps, stamps[1:])), stamps
+
+
+@pytest.mark.parametrize("stamp", ["Infinity", "-Infinity", "NaN", '"9"'])
+def test_unusable_receive_time_raises_storage_error(tmp_path, stamp):
+    store = EdgeStore(tmp_path)
+    _fill(store, count=2)
+    path = tmp_path / "device_1.ndjson"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"received_at_ms":2.0', f'"received_at_ms":{stamp}')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StorageError, match=r"device_1\.ndjson line 2: "):
+        EdgeStore(tmp_path)
 
 
 def test_decode_errors_propagate_and_store_nothing(tmp_path):
