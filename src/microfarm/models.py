@@ -46,7 +46,7 @@ DEFAULT_HYPERPARAMS = {
 # follows data density instead of the raw feature span.
 HISTOGRAM_BINS = 256
 
-MODEL_FORMAT = "microfarm-model/3"
+MODEL_FORMAT = "microfarm-model/4"
 
 
 class DataError(ValueError):
@@ -153,11 +153,11 @@ def _grow_trees(
 
     Tree t fits labels[t] on the training rows rows[t] (repeats allowed),
     with at least min_leaf >= 1 rows per leaf.  Returns parallel node arrays
-    per tree; internal nodes hold a feature index and a threshold (go left
-    when x <= threshold), leaves hold feature -1.  With cands, tree t's r-th
-    node that may split searches the features of cands[t].row(r); without,
-    every feature.  With train_out, each leaf value is scattered to
-    train_out[t] at its rows.
+    per tree; internal nodes hold a feature index, a threshold and a left
+    child (x <= threshold goes to left, else to left + 1), leaves hold
+    feature and left -1.  With cands, tree t's r-th node that may split
+    searches the features of cands[t].row(r); without, every feature.  With
+    train_out, each leaf value is scattered to train_out[t] at its rows.
 
     Every tree keeps its own depth-first order: at each step each live tree
     pops its next node.  Node numbering, and which candidate set each node
@@ -219,21 +219,19 @@ def _grow_trees(
                     train_out[t][src] = total / src.size
         live = [t for t in live if stacks[t]]
 
-    # per-tree node arrays; a node's children were numbered when it split
+    # per-tree node arrays; a node's two children were numbered in a row when it split
     first = np.cumsum([0] + n_nodes)
     value = np.empty(first[-1])
     value[first[node_tree] + node_id] = node_value
     feature = np.full(first[-1], -1)
     threshold = np.zeros(first[-1])
     left = np.full(first[-1], -1)
-    right = np.full(first[-1], -1)
     t, node, f, b, lid = np.array(splits, dtype=np.int64).reshape(-1, 5).T
     at = first[t] + node
     feature[at] = f
     threshold[at] = thresholds[f, b]
     left[at] = lid
-    right[at] = lid + 1
-    arrays = dict(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    arrays = dict(feature=feature, threshold=threshold, left=left, value=value)
     return [{key: arr[lo:hi] for key, arr in arrays.items()} for lo, hi in zip(first, first[1:])]
 
 
@@ -296,16 +294,14 @@ def _best_splits(srcs, subs, totals, cand, bins, width, min_leaf):
 def _pack(trees: list[dict], bias: np.ndarray, scale: float, divisor: float) -> dict:
     """One packed ensemble from trees grouped by plant, each plant's in fit order.
 
-    The node arrays of all trees are concatenated with children rebased to
-    global indices, and ``roots`` holds each tree's first node.  A plant's
+    The node arrays of all trees are concatenated with left children rebased
+    to global indices, and ``roots`` holds each tree's first node.  A plant's
     score is (bias + scale * sum of its trees' leaf values) / divisor.
     """
     sizes = [t["feature"].size for t in trees]
     roots = np.cumsum([0] + sizes[:-1])
     ens = {key: np.concatenate([t[key] for t in trees]) for key in trees[0]}
-    offset = np.repeat(roots, sizes)
-    for key in ("left", "right"):
-        ens[key] = np.where(ens[key] >= 0, ens[key] + offset, -1)
+    ens["left"] = np.where(ens["left"] >= 0, ens["left"] + np.repeat(roots, sizes), -1)
     ens.update(roots=roots, bias=bias, scale=np.float64(scale), divisor=np.float64(divisor))
     return ens
 
@@ -325,7 +321,7 @@ def _ensemble_scores(ens: dict, xs: np.ndarray) -> np.ndarray:
     and scale 1) the sum is NumPy's over the trees, the reduction np.mean
     makes, which is pairwise rather than running for a single row.
     """
-    feature, threshold, left, right = (ens[k] for k in ("feature", "threshold", "left", "right"))
+    feature, threshold, left = ens["feature"], ens["threshold"], ens["left"]
     q, bias, trees = xs.shape[0], ens["bias"], ens["roots"].size
     leaf = np.empty((trees, q))
     rows = max(1, _WALK_PAIRS // trees)
@@ -336,7 +332,7 @@ def _ensemble_scores(ens: dict, xs: np.ndarray) -> np.ndarray:
         while live.size:
             at = node[live]
             go_left = block[live % len(block), feature[at]] <= threshold[at]
-            node[live] = np.where(go_left, left[at], right[at])
+            node[live] = left[at] + ~go_left
             live = live[feature[node[live]] >= 0]
         leaf[:, i : i + rows] = ens["value"][node].reshape(trees, -1)
     leaf = leaf.reshape(bias.size, trees // bias.size, q)
@@ -608,14 +604,14 @@ _SHAPES = {
     "KNN": {"points": ("rows", len(FEATURE_NAMES)), "labels": ("rows", "plants")},
     "Linear": {"weights": (len(FEATURE_NAMES), "plants"), "intercept": ("plants",)},
     "ensemble": {
-        **dict.fromkeys(("feature", "threshold", "left", "right", "value"), ("nodes",)),
+        **dict.fromkeys(("feature", "threshold", "left", "value"), ("nodes",)),
         "roots": ("trees",),
         "bias": ("plants",),
         "scale": (),
         "divisor": (),
     },
 }
-_INT_ARRAYS = ("feature", "left", "right", "roots")
+_INT_ARRAYS = ("feature", "left", "roots")
 
 
 def _dtype(key: str) -> str:
@@ -695,12 +691,12 @@ def _check_ensemble(p: dict) -> None:
     _require(roots.size % p["bias"].size == 0, "trees do not divide evenly among plants")
     _require(roots[0] == 0 and (np.diff(roots) > 0).all() and roots[-1] < nodes, "bad 'roots'")
     _require(((feature >= -1) & (feature < len(FEATURE_NAMES))).all(), "feature out of range")
-    # a leaf's children are -1; any other node's lie after it, inside its tree
+    # a leaf's left is -1; any other node's children, left and left + 1,
+    # lie after it, inside its tree (left + 1 could wrap, tree_end - 1 cannot)
     tree_end = np.repeat(np.append(roots[1:], nodes), np.diff(np.append(roots, nodes)))
-    index = np.arange(nodes)
-    for key in ("left", "right"):
-        ok = np.where(feature == -1, p[key] == -1, (p[key] > index) & (p[key] < tree_end))
-        _require(ok.all(), f"{key!r} child of node {np.argmin(ok)} is out of place")
+    left = p["left"]
+    ok = np.where(feature == -1, left == -1, (np.arange(nodes) < left) & (left < tree_end - 1))
+    _require(ok.all(), f"'left' child of node {np.argmin(ok)} is out of place")
     _require(p["divisor"] > 0, "'divisor' must be positive")
 
 

@@ -274,6 +274,10 @@ RATING_ALPHA = 0.95
 N_ARCHETYPES = 15
 ARCHETYPE_JITTER = 0.003  # stddev of member noise, as a fraction of each span
 
+# The most soils generate_dataset makes: about 1.5 KB a soil, so a call stays
+# near 150 MB, while paper scale (10626 soils) is admitted.
+MAX_SOILS = 100_000
+
 
 def _truth_ratings(features: np.ndarray) -> np.ndarray:
     """clamp(round(5 - alpha*d), 1, 5) with d the sigma-normalized distance."""
@@ -293,8 +297,8 @@ def generate_dataset(
     of soil i for plant j falls off with the sigma-normalized distance from
     plant j's ideal profile.  Only up to 15 plant profiles are defined.
     """
-    if num_soils < 1:
-        raise ConfigurationError("num_soils must be >= 1")
+    if not 1 <= num_soils <= MAX_SOILS:
+        raise ConfigurationError(f"num_soils must be in 1..{MAX_SOILS}, got {num_soils}")
     if not 1 <= num_plants <= PLANT_MU.shape[0]:
         raise ConfigurationError(f"num_plants must be in 1..{PLANT_MU.shape[0]}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -380,33 +384,11 @@ def write_rating_csv(path: str | Path, matrix: SparseRatingMatrix | FullRatingMa
 
 
 def read_sparse_csv(path: str | Path) -> SparseRatingMatrix:
-    rows = _read_rating_rows(path)
-    values = [[0 if cell == "" else int(cell) for cell in row] for row in rows]
-    return SparseRatingMatrix(np.array(values, dtype=np.int64))
+    return SparseRatingMatrix(_read_csv(path, None, lambda cell: int(cell or 0)))
 
 
 def read_full_csv(path: str | Path) -> FullRatingMatrix:
-    rows = _read_rating_rows(path)
-    values = [[int(cell) for cell in row] for row in rows]
-    return FullRatingMatrix(np.array(values, dtype=np.int64))
-
-
-def _read_rating_rows(path: str | Path) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty rating CSV") from None
-        n = len(header)
-        if header != rating_header(n):
-            raise ConfigurationError(f"{path}: expected header plant_0..plant_{n - 1}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ConfigurationError(f"{path}: no data rows")
-    if any(len(row) != n for row in rows):
-        raise ConfigurationError(f"{path}: ragged rows")
-    return rows
+    return FullRatingMatrix(_read_csv(path, None, int))
 
 
 def write_soils_csv(path: str | Path, soils: list[SoilProfile]) -> None:
@@ -418,15 +400,36 @@ def write_soils_csv(path: str | Path, soils: list[SoilProfile]) -> None:
 
 
 def read_soils_csv(path: str | Path) -> list[SoilProfile]:
+    return [SoilProfile(*row) for row in _read_csv(path, FEATURE_NAMES, float).tolist()]
+
+
+def _read_csv(path: str | Path, header: tuple[str, ...] | None, parse) -> np.ndarray:
+    """The data rows of a CSV with the given header, as a float64 array.
+
+    With header None it is a rating CSV instead: header plant_0..plant_{n-1}
+    for some n, and int64 cells.  Each cell is read by parse; one it refuses,
+    or that the array cannot hold, raises ConfigurationError naming the file
+    and the data row.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(FEATURE_NAMES):
-            raise ConfigurationError(f"{path}: expected header {','.join(FEATURE_NAMES)}")
-        soils = [SoilProfile(*(float(c) for c in row)) for row in reader if row]
-    if not soils:
+        names = next(reader, [])
+        want = list(header or rating_header(len(names))) or ["plant_0", "..."]
+        if names != want:
+            raise ConfigurationError(f"{path}: expected header {','.join(want)}")
+        rows = [row for row in reader if row]
+    if not rows:
         raise ConfigurationError(f"{path}: no data rows")
-    return soils
+    if any(len(row) != len(names) for row in rows):
+        raise ConfigurationError(f"{path}: ragged rows")
+    values = np.empty((len(rows), len(names)), dtype=np.float64 if header else np.int64)
+    for i, row in enumerate(rows):
+        try:
+            values[i] = [parse(cell) for cell in row]
+        except (ValueError, OverflowError):
+            msg = f"{path}: data row {i + 1} is not all {values.dtype}: {','.join(row)}"
+            raise ConfigurationError(msg) from None
+    return values
 
 
 def write_confusion_json(path: str | Path, cm: ConfusionMatrix5, **extra) -> None:

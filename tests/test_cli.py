@@ -126,6 +126,13 @@ def test_gen_data_unsatisfiable_sparsity_fails(tmp_path, capsys):
     _err_line(capsys)
 
 
+def test_gen_data_refuses_more_soils_than_it_can_hold(tmp_path, capsys):
+    # refused before anything is allocated or written
+    assert run("gen-data", "--num-soils", 10**12, "--out", tmp_path) == 2
+    assert "num_soils must be in 1..100000" in _err_line(capsys)
+    assert not list(tmp_path.iterdir())
+
+
 def test_complete_round_trip_and_report(tmp_path):
     assert run("gen-data", "--num-soils", 40, "--sparsity", 0.3, "--seed", 2, "--out", tmp_path) == 0
     assert (
@@ -142,6 +149,32 @@ def test_complete_round_trip_and_report(tmp_path):
     assert report["k"] == 7
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["sparsity"] == pytest.approx(0.3, abs=0.01)
+
+
+@pytest.mark.parametrize("cell", ["99999999999999999999", "abc"])
+@pytest.mark.parametrize("name", ["sparse.csv", "truth.csv"])
+def test_complete_unparsable_cell_names_file_and_row(name, cell, tmp_path, capsys):
+    assert run("gen-data", "--num-soils", 5, "--sparsity", 0.2, "--out", tmp_path) == 0
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    argv = ("complete", tmp_path / "sparse.csv", "--truth", tmp_path / "truth.csv")
+    assert run(*argv, "--out", tmp_path) == 2
+    line = _err_line(capsys)
+    assert f"{path}: data row 3 is not all int64: {cell}," in line
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [("40,50,60", "ragged rows"), ("40,50,x,21,6.5", "data row 2 is not all float64: 40,50,x,")],
+)
+def test_recommend_bad_soils_csv_names_the_file(row, error, tmp_path, capsys):
+    path = tmp_path / "soils.csv"
+    path.write_text(f"n_ppm,p_ppm,k_ppm,temp_c,ph\n40,50,60,21,6.5\n{row}\n", encoding="utf-8")
+    argv = ("recommend", _model_file(tmp_path), "--soils-csv", path, "--out", tmp_path)
+    assert run(*argv) == 2
+    assert f"{path}: {error}" in _err_line(capsys)
 
 
 def test_complete_on_full_input_echoes_it(tmp_path):

@@ -250,11 +250,39 @@ def _edit(key, field, value):
     return apply
 
 
+def _with_right(params, right):
+    """params with right(params["left"]) inserted after it, in the /2 and /3 key order."""
+    out = {}
+    for key, val in params.items():
+        out[key] = val
+        if key == "left":
+            out["right"] = right(val)
+    return out
+
+
+def _right(left):
+    """The right children /2 and /3 files stored: each split node's left + 1."""
+    return np.where(left >= 0, left + 1, -1)
+
+
+def _as_format_3(doc):
+    """The same model in the microfarm-model/3 layout, right array included."""
+    doc["format"] = "microfarm-model/3"
+    doc["params"] = _with_right(doc["params"], lambda e: _encoded(_right(_decoded(e))))
+
+
 def _as_format_2(doc):
     """The same model in the microfarm-model/2 layout: nested lists, not bytes."""
+    _as_format_3(doc)
     doc["format"] = "microfarm-model/2"
     for group in ("scaling", "params"):
         doc[group] = {key: _decoded(entry).tolist() for key, entry in doc[group].items()}
+
+
+def _left_at_tree_end(doc):
+    """Node 0's left child moved to the last node of its tree, so left + 1 leaves it."""
+    roots = _decoded(doc["params"]["roots"])
+    _mutate("left", lambda arr: roots[1] - 1)(doc)
 
 
 def _with_nan(entry):
@@ -269,8 +297,14 @@ MALFORMED = {
     "missing params": (lambda doc: doc.pop("params"), "missing 'params'"),
     "child out of range": (_mutate("left", lambda arr: arr.size + 5), "'left'"),
     "self-loop child": (_mutate("left", lambda arr: 0), "'left'"),
+    "left child at its tree's last node": (
+        _left_at_tree_end,
+        "'left' child of node 0 is out of place",
+    ),
+    "child whose sibling wraps": (_mutate("left", lambda arr: 2**63 - 1), "'left' child of node 0"),
     "format 1": (lambda doc: doc.update(format="microfarm-model/1"), "microfarm-model/1"),
-    "format 2": (_as_format_2, "expected 'microfarm-model/3'"),
+    "format 2": (_as_format_2, "expected 'microfarm-model/4'"),
+    "format 3": (_as_format_3, "unsupported model format 'microfarm-model/3'"),
     "text hyperparameter": (lambda doc: doc["hyperparams"].update(max_depth="12"), "max_depth"),
     "truncated data": (
         _edit("threshold", "data", lambda e: e["data"][: len(e["data"]) // 8 * 4]),
@@ -317,7 +351,7 @@ def test_load_rejects_malformed_model(name, tmp_path):
 
 # raw file contents that are not a JSON document
 UNREADABLE = {
-    "cut mid-header": b'{"format": "microfarm-model/3", "kind"',
+    "cut mid-header": b'{"format": "microfarm-model/4", "kind"',
     "not UTF-8": b"\xff\xfe",
     "empty": b"",
 }
@@ -345,7 +379,7 @@ def boosted(tmp_path_factory):
 def test_load_survives_any_one_corrupted_index(boosted, data):
     text, path = boosted
     doc = json.loads(text)
-    key = data.draw(st.sampled_from(("feature", "left", "right")))
+    key = data.draw(st.sampled_from(("feature", "left")))
     values = _decoded(doc["params"][key])
     i = data.draw(st.integers(0, len(values) - 1))
     old = int(values[i])
@@ -400,10 +434,10 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
     equal this one bit for bit.
     """
     n_features = bins.shape[1]
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, left, value = [], [], [], []
 
     def new_node():
-        for arr, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+        for arr, v in ((feature, -1), (threshold, 0.0), (left, -1), (value, 0.0)):
             arr.append(v)
         return len(feature) - 1
 
@@ -452,15 +486,14 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
         go_left = bins[idx, f] <= split_bin
         feature[node] = f
         threshold[node] = float(edges[f][split_bin])
-        lid, rid = new_node(), new_node()
-        left[node], right[node] = lid, rid
+        lid, rid = new_node(), new_node()  # so rid is lid + 1
+        left[node] = lid
         stack.append((rid, idx[~go_left], depth + 1))
         stack.append((lid, idx[go_left], depth + 1))
     return {
         "feature": np.array(feature, dtype=np.int64),
         "threshold": np.array(threshold, dtype=np.float64),
         "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
         "value": np.array(value, dtype=np.float64),
     }
 
@@ -725,16 +758,22 @@ SAVED_DIGESTS = {
     "GradientBoost": "50b929184115f1472d530e20df0d38875919da9a59329e8e987db3cc9067d071",
 }
 
-# sha256 of the save_model (microfarm-model/3) file of the same fits
+# sha256 of the save_model (microfarm-model/4) file of the same fits
 SAVED_FILE_DIGESTS = {
-    "DecisionTree": "8be687ea6f6b61aec665151fc2fd59716e367108afa9990dda6dfe4543454100",
-    "RandomForest": "62360a21cf61fe9373cd5a3ae3a142e98b04f2ffbb5fb3400143d624b9ee7a11",
-    "GradientBoost": "a91c9d23b48f827e348c301daa3eea79641d9d35b400b32d176a68cc00ae6f03",
+    "DecisionTree": "48f8d3bf672190d62a4ab7a554789826863fa256eb688d505889eedad8664be4",
+    "RandomForest": "d9e128e8de09d55344069097d3991b6cd698c1cd1383147904f351ad2122b789",
+    "GradientBoost": "36b32c11164ab668af106e8b00464f9462d19718ee6de845e62216300279f34f",
 }
 
 
 def _format_2_text(model):
-    """The document microfarm-model/2 wrote: every array as nested JSON lists."""
+    """The document microfarm-model/2 wrote: every array as nested JSON lists.
+
+    /2 also stored each node's right child; it is re-derived as left + 1, in
+    the /2 key order, so that digests recorded from the node-by-node grower
+    check that every split's children are numbered in a row.
+    """
+    params = _with_right(model.params, _right)
     doc = {
         "format": "microfarm-model/2",
         "kind": model.kind,
@@ -742,7 +781,7 @@ def _format_2_text(model):
         "scaling": {"mean": model.mean.tolist(), "std": model.std.tolist()},
         "seed": model.seed,
         "train_rows": model.train_rows,
-        "params": {key: val.tolist() for key, val in model.params.items()},
+        "params": {key: val.tolist() for key, val in params.items()},
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
@@ -757,10 +796,12 @@ def test_saved_tree_models_match_pinned_digests(kind, tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_DIGESTS[kind]
 
 
-# sha256 of the save_model file of the default RandomForest fit on the
-# size-500 cell (400 training rows) of benchmark(sizes=(100, 500), seed=0),
-# recorded from the forest that drew candidates with Generator.choice
-SAVED_FOREST_500_DIGEST = "c95e2d2088fe637fdb6ecfe7da7240d2e394c59cdc0a802da74f966ae41fea2f"
+# sha256 of the microfarm-model/2 text of the default RandomForest fit on
+# the size-500 cell (400 training rows) of benchmark(sizes=(100, 500),
+# seed=0), recorded from the microfarm-model/3 code, whose file of this fit
+# had the sha256 (c95e2d20...) pinned from the forest that drew candidates
+# with Generator.choice
+SAVED_FOREST_500_DIGEST = "bd0251594553e308e897b890c8242f8490833e62268ce20e28225112b34598ab"
 
 
 def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
@@ -768,4 +809,5 @@ def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
     assert train.m == 400
     path = tmp_path / "model.json"
     save_model(fit("RandomForest", train, seed=fit_seed), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FOREST_500_DIGEST
+    text = _format_2_text(load_model(path))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_FOREST_500_DIGEST
