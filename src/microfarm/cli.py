@@ -31,6 +31,7 @@ from .models import MODEL_KINDS, ModelError, load_model, recommend_top_n
 from .ratings import (
     DEFAULT_NEIGHBORS,
     ConfigurationError,
+    DimensionError,
     SoilProfile,
     complete_matrix,
     evaluate_completion,
@@ -241,11 +242,15 @@ def _cmd_gen_data(args) -> int:
 def _cmd_complete(args) -> int:
     seed, out, quiet = _resolve(args)
     sparse = read_sparse_csv(args.sparse)
+    # every input is read and checked before any output is written
+    truth = read_full_csv(args.truth) if args.truth else None
+    if truth is not None and truth.values.shape != sparse.values.shape:
+        shapes = " and ".join("x".join(map(str, m.values.shape)) for m in (truth, sparse))
+        raise DimensionError(f"--truth and the sparse matrix differ in shape: {shapes}")
     completed = complete_matrix(sparse, k=args.k)
     write_rating_csv(out / "full.csv", completed)
     _say(quiet, f"wrote {out / 'full.csv'} (k={args.k})")
-    if args.truth:
-        truth = read_full_csv(args.truth)
+    if truth is not None:
         masked = sparse.values == 0
         cm = evaluate_completion(truth, completed, masked)
         measured = float(masked.mean())

@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -161,11 +162,19 @@ def _grow_trees(
 
     Every tree keeps its own depth-first order: at each step each live tree
     pops its next node.  Node numbering, and which candidate set each node
-    searches, are therefore those of growing the tree alone.  The histograms
-    of a chunk of popped nodes come from one keyed bincount for counts and
-    one for sums.  A node's rows stay in position order, so each bin adds
+    searches, are therefore those of growing the tree alone.  The popped
+    nodes that may split are scored in chunks; a chunk's rows and labels
+    are concatenated once for _best_splits, and one boolean side array
+    partitions all its rows into left and right arrays, of which each child
+    takes a slice.  A node's rows stay in position order, so each bin adds
     the same values in the same order as a bincount per node and feature
     would.
+
+    When every label array is integer-valued and max|y| times the most rows
+    of a tree is below 2**26, a node whose labels are all equal is a leaf
+    without a search: every sum, square and quotient of its scores is then
+    exact, so its best score equals the parent's n*v*v and cannot beat it by
+    1e-12.  It still counts as a node that may split.
     """
     n_trees, n_features = len(rows), bins.shape[0]
     n_cand = cands[0].size if cands else n_features
@@ -175,6 +184,11 @@ def _grow_trees(
     thresholds = np.zeros((n_features, width))
     for f, e in enumerate(edges):
         thresholds[f, : e.size] = e
+    # whether the pure-node rule holds; plant trees share their label arrays
+    distinct = {id(y): y for y in labels}.values()
+    exact = all(np.array_equal(y, np.floor(y)) for y in distinct) and max(
+        float(np.abs(y).max(initial=0.0)) for y in distinct
+    ) * max(r.size for r in rows) < 2**26
 
     stacks = [[(0, r, 0)] for r in rows]  # (node, rows in position order, depth)
     n_nodes = [1] * n_trees
@@ -200,23 +214,45 @@ def _grow_trees(
                 grow.append((t, node, src, depth, sub, total, features))
             elif train_out is not None:
                 train_out[t][src] = node_value[-1]
+        if exact and grow:  # pure nodes are leaves
+            step = np.concatenate([g[4] for g in grow])
+            starts = np.cumsum([0] + [g[2].size for g in grow[:-1]])
+            pure = np.minimum.reduceat(step, starts) == np.maximum.reduceat(step, starts)
+            if train_out is not None:
+                for t, _, src, _, _, total, _ in compress(grow, pure):
+                    train_out[t][src] = total / src.size
+            grow = list(compress(grow, ~pure))
         for lo, hi in _chunks([g[2].size for g in grow], n_cand, width):
             chunk = grow[lo:hi]
             _, _, srcs, _, subs, totals, cand = zip(*chunk)
+            sizes = np.array([src.size for src in srcs])
+            flat = np.concatenate(srcs)
             cand = np.array(cand, dtype=np.intp)
-            split, which, at, binned = _best_splits(srcs, subs, totals, cand, bins, width, min_leaf)
-            end = 0
-            decided = zip(chunk, split, which, at, cand)
-            for (t, node, src, depth, _, total, _), s, w, b, c in decided:
-                side = binned[w, end : end + src.size] <= b
-                end += src.size
+            split, which, at, binned = _best_splits(
+                flat, np.concatenate(subs), sizes, np.array(totals), cand, bins, width, min_leaf
+            )
+            # one partition of the chunk's rows, node by node in turn
+            side = np.empty(flat.size, dtype=bool)
+            n_left, a = [], 0
+            for n, w, b in zip(sizes.tolist(), which, at):
+                np.less_equal(binned[w, a : a + n], b, out=side[a : a + n])
+                n_left.append(np.count_nonzero(side[a : a + n]))
+                a += n
+            # each child's rows are a slice of the chunk's left or right rows
+            lefts, rights = np.compress(side, flat), np.compress(~side, flat)
+            li = ri = 0
+            decided = zip(chunk, split, which, at, cand, n_left)
+            for (t, node, src, depth, _, total, _), s, w, b, feats, nl in decided:
+                nr = src.size - nl
                 if s:
-                    splits.append((t, node, int(c[w]), b, n_nodes[t]))
-                    stacks[t].append((n_nodes[t] + 1, np.compress(~side, src), depth + 1))
-                    stacks[t].append((n_nodes[t], np.compress(side, src), depth + 1))
+                    splits.append((t, node, int(feats[w]), b, n_nodes[t]))
+                    stacks[t].append((n_nodes[t] + 1, rights[ri : ri + nr], depth + 1))
+                    stacks[t].append((n_nodes[t], lefts[li : li + nl], depth + 1))
                     n_nodes[t] += 2
                 elif train_out is not None:
                     train_out[t][src] = total / src.size
+                li += nl
+                ri += nr
         live = [t for t in live if stacks[t]]
 
     # per-tree node arrays; a node's two children were numbered in a row when it split
@@ -248,25 +284,23 @@ def _chunks(sizes: list[int], n_cand: int, width: int):
         lo = hi
 
 
-def _best_splits(srcs, subs, totals, cand, bins, width, min_leaf):
-    """Best split of each node over its candidate features, from one keyed histogram.
+def _best_splits(src, sub, sizes, totals, cand, bins, width, min_leaf):
+    """Best split of each node of a chunk over its candidate features, from one keyed histogram.
 
-    Node i has rows srcs[i], their labels subs[i] with sum totals[i], and
-    candidate features cand[i].  Returns per node whether it splits, the
-    chosen candidate's index and split bin, and the bins of the concatenated
-    node rows for each candidate (candidates x rows).  The chosen feature is
-    the first candidate whose best score is the maximum; the node splits
-    when that score beats the parent's by more than 1e-12.
+    The chunk's k nodes hold sizes[i] rows each, concatenated in src with
+    their labels in sub; node i's labels sum to totals[i] and its candidate
+    features are cand[i].  Returns per node whether it splits, the chosen
+    candidate's index and split bin, and the bins of src for each candidate
+    (candidates x rows).  The chosen feature is the first candidate whose
+    best score is the maximum; the node splits when that score beats the
+    parent's by more than 1e-12.
     """
     k, n_cand = cand.shape
-    sizes = np.array([src.size for src in srcs])
-    totals = np.array(totals)
-    src = np.concatenate(srcs)
     binned = np.take(bins, np.repeat(cand.T * bins.shape[1], sizes, axis=1) + src)
     # key (node, candidate, bin); each key sees its node's rows in order
     offset = (np.arange(k) * n_cand + np.arange(n_cand)[:, None]) * width
     key = (binned + np.repeat(offset, sizes, axis=1)).ravel()
-    weights = np.tile(np.concatenate(subs), n_cand)
+    weights = np.tile(sub, n_cand)
     cells = k * n_cand * width
     cnt = np.bincount(key, minlength=cells).reshape(k, n_cand, width)
     sums = np.bincount(key, weights=weights, minlength=cells).reshape(k, n_cand, width)

@@ -166,6 +166,26 @@ def test_complete_unparsable_cell_names_file_and_row(name, cell, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "edit, error",
+    [("cell", "data row 3 is not all int64: abc,"), ("row", "differ in shape: 4x15 and 5x15")],
+)
+def test_complete_refused_for_its_truth_writes_nothing(edit, error, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run("gen-data", "--num-soils", 5, "--sparsity", 0.2, "--out", data) == 0
+    truth = data / "truth.csv"
+    lines = truth.read_text().splitlines()
+    if edit == "cell":
+        lines[3] = "abc" + lines[3][1:]  # in place of a one-digit rating
+    else:
+        lines.pop()
+    truth.write_text("\n".join(lines) + "\n")
+    assert run("complete", data / "sparse.csv", "--truth", truth, "--out", out) == 2
+    assert error in _err_line(capsys)
+    assert not (out / "full.csv").exists()
+    assert not (out / "completion_report.json").exists()
+
+
+@pytest.mark.parametrize(
     "row, error",
     [("40,50,60", "ragged rows"), ("40,50,x,21,6.5", "data row 2 is not all float64: 40,50,x,")],
 )

@@ -624,6 +624,87 @@ def test_forests_equal_the_reference_in_any_grouping(
     _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
 
 
+# --- the pure-node rule: integer labels below 2**26 -------------------------
+
+
+@st.composite
+def _integer_problem(draw, plants=st.integers(1, 3)):
+    """_binned_problem's features with small integer labels, so that many nodes are pure."""
+    bins, edges, y = draw(_binned_problem(plants))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(st.sampled_from([(1, 6), (-3, 6), (0, 2)]))
+    return bins, edges, rng.integers(low, high, size=y.shape).astype(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_integer_problem(), max_depth=st.integers(1, 8), min_leaf=st.integers(1, 4))
+def test_grown_decision_trees_on_integer_labels_equal_the_reference(problem, max_depth, min_leaf):
+    bins, edges, y = problem
+    m, n_plants = y.shape
+    labels = [y[:, j] for j in range(n_plants)]
+    # a pure node that stops early must still scatter its value
+    got_out, want_out = np.zeros((n_plants, m)), np.zeros((n_plants, m))
+    got = models._grow_trees(
+        bins, edges, labels, [np.arange(m)] * n_plants, max_depth, min_leaf, train_out=list(got_out)
+    )
+    for j, tree in enumerate(got):
+        want = _reference_grow_tree(bins.T, y[:, j], edges, max_depth, min_leaf, train_out=want_out[j])
+        _assert_same_arrays(tree, want)
+    assert np.array_equal(got_out, want_out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=_integer_problem(),
+    trees=st.integers(1, 5),
+    max_depth=st.integers(1, 8),
+    n_sub=st.integers(1, 5),
+    group_trees=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_forests_on_integer_labels_equal_the_reference(
+    problem, trees, max_depth, n_sub, group_trees, seed
+):
+    bins, edges, y = problem
+    hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=True)
+    # a pure node that stops early must still take its candidate set
+    with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0] * y.shape[1]):
+        got = models._fit_forest(bins, edges, y, hp, seed)
+    _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
+
+
+def _pure_root(n, value, seed=0):
+    """Binned normal features of n rows, and whether the full search splits n labels of value."""
+    bins, edges = models._binned(np.random.default_rng(seed).normal(size=(n, 5)))
+    width = max(e.size for e in edges) + 1
+    sub = np.full(n, value)
+    all_features = np.arange(5)[None, :]
+    split, *_ = models._best_splits(
+        np.arange(n), sub, np.array([n]), np.array([float(sub.sum())]), all_features, bins, width, 1
+    )
+    return bins, edges, split == [True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4000), data=st.data(), seed=st.integers(0, 2**16))
+def test_the_full_search_never_splits_a_pure_node_inside_the_rule(n, data, seed):
+    bound = (2**26 - 1) // n
+    value = data.draw(st.integers(-bound, bound))
+    _, _, splits = _pure_root(n, float(value), seed)
+    assert not splits
+
+
+# pure nodes whose scores round above the parent's, so that the full search
+# splits them: fractional labels, and integer labels past the 2**26 bound
+@pytest.mark.parametrize("n, value", [(1442, 3.3), (81, 876605000099.0)])
+def test_pure_nodes_outside_the_rule_keep_the_full_search(n, value):
+    bins, edges, splits = _pure_root(n, value)
+    assert splits
+    y = np.full(n, value)
+    got = models._grow_trees(bins, edges, [y], [np.arange(n)], 3, 1)
+    _assert_same_arrays(got[0], _reference_grow_tree(bins.T, y, edges, 3, 1))
+
+
 # --- candidate sets decoded from the generator's words ----------------------
 
 
