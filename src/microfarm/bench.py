@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import MODEL_KINDS, Dataset, ModelError, dataset_from_soils, evaluate, fit, split
-from .ratings import generate_dataset
+from .ratings import MAX_SOILS, generate_dataset
 
 DEFAULT_SIZES = tuple(range(100, 10101, 1000))
 
@@ -44,6 +44,7 @@ def benchmark(
     """One BenchRow per (kind, size), sizes outermost, kinds in given order.
 
     train_ms times fit; infer_ms times evaluate, which scores the test set.
+    Every size must be in 5..MAX_SOILS; a ModelError names the first that is not.
     """
     kinds = tuple(kinds)
     unknown = [k for k in kinds if k not in MODEL_KINDS]
@@ -53,6 +54,10 @@ def benchmark(
         )
     if not kinds or not sizes:
         raise ModelError("kinds and sizes must be non-empty")
+    # refused before the first fit, not after the sizes before it; split needs 5 rows
+    bad = [s for s in sizes if not 5 <= s <= MAX_SOILS]
+    if bad:
+        raise ModelError(f"sizes must be in 5..{MAX_SOILS}, got {bad[0]}")
     rows = []
     for i, size in enumerate(sizes):
         train, test, fit_seed = cell(size, i, seed)

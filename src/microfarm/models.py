@@ -124,20 +124,30 @@ def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[
 def _binned(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-feature split thresholds at evenly spaced quantiles, and each value's bin.
 
-    Bins are stored feature by feature (features x rows), in the smallest
-    integer type that holds bins 0..HISTOGRAM_BINS - 1.  bin(v) <= b exactly
-    when v <= edges[b], matching the x <= thr predicate.
+    Of the distinct quantiles, only those that some training value's bin
+    ends at are kept, so every bin below len(edges) holds a training value
+    and a small training set has few bins.  A split at a dropped edge would
+    send the same rows left as one at the kept edge below it (or none), so
+    its score is that edge's (or fails min_leaf), and the first maximum is
+    at a kept edge either way.  Bins are stored feature by feature (features
+    x rows), in the smallest integer type that holds bins
+    0..HISTOGRAM_BINS - 1.  bin(v) <= b exactly when v <= edges[b], matching
+    the x <= thr predicate.
     """
     qs = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)[1:-1]
-    edges = [np.unique(np.quantile(x[:, f], qs)) for f in range(x.shape[1])]
-    bins = np.array([np.searchsorted(e, x[:, f], side="left") for f, e in enumerate(edges)])
-    return bins.astype(np.min_scalar_type(HISTOGRAM_BINS - 1)), edges
+    edges, bins = [], []
+    for f in range(x.shape[1]):
+        e = np.unique(np.quantile(x[:, f], qs))
+        b = np.searchsorted(e, x[:, f], side="left")
+        edges.append(e[np.unique(b[b < e.size])])
+        bins.append(np.searchsorted(edges[-1], x[:, f], side="left"))
+    return np.array(bins).astype(np.min_scalar_type(HISTOGRAM_BINS - 1)), edges
 
 
 # A growth step scores its nodes in chunks of at most this many (row,
 # candidate feature) pairs and this many histogram cells, so the step's
-# temporaries stay bounded however many trees grow together.
-_STEP_CELLS = 1 << 13
+# temporaries stay bounded, and in L2 cache, however many trees grow together.
+_STEP_CELLS = 1 << 14
 
 
 def _grow_trees(
@@ -272,7 +282,11 @@ def _grow_trees(
 
 
 def _chunks(sizes: list[int], n_cand: int, width: int):
-    """Runs [lo, hi) of nodes within _STEP_CELLS pairs and cells, at least one node each."""
+    """Runs [lo, hi) of nodes within _STEP_CELLS pairs and cells, at least one node each.
+
+    A node takes n_cand * width histogram cells, and width follows the kept
+    edges of _binned, so a small training set fits more nodes in a chunk.
+    """
     per_chunk = max(1, _STEP_CELLS // (n_cand * width))
     lo = 0
     while lo < len(sizes):

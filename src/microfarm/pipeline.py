@@ -6,10 +6,9 @@ ingested into the edge store (with a few application-level retransmissions
 thrown in) and forwarded exactly once to a cloud log.
 
 Recommendation: a synthetic rating corpus is sparsified and completed, a
-model is trained on the completed matrix, and a stream of recommendation
-requests is served; every ``retrain_period`` accepted recommendations the
-accumulated rows are folded back into the training data and the model is
-refitted.
+model is trained on the completed matrix, and a stream of ``retrain_period``
+recommendation requests is served; the accepted recommendations are then
+folded back into the training data, and the model is refitted and saved.
 
 Every stage draws from substreams of one master seed, the edge store runs
 on its virtual clock, and the forwarder sleeps through a no-op, so a fixed
@@ -220,10 +219,8 @@ def run_demo(
 
     # stage 6: train on the completed matrix, serve recommendations, retrain at T
     model = fit(DEMO_MODEL_KIND, dataset_from_soils(soils, completed), seed=fit_seed)
-    save_model(model, out / "model.json")
     request_soils, _ = generate_dataset(retrain_period, seed=request_seed)
-    grown_soils = list(soils)
-    grown_values = completed.values
+    accepted = []
     with open(out / "recommendations.jsonl", "w", encoding="utf-8") as fh:
         for count, soil in enumerate(request_soils, start=1):
             # one prediction per request: rank every plant, then cut the top
@@ -240,17 +237,13 @@ def run_demo(
                 + "\n"
             )
             # the recommendation joins the full-ratings file the next model sees
-            grown_soils.append(soil)
-            rounded = to_ratings(np.array([score for _, score in sorted(ranking)]))
-            grown_values = np.vstack([grown_values, rounded[None, :]])
-            if count % retrain_period == 0:
-                model = fit(
-                    DEMO_MODEL_KIND,
-                    dataset_from_soils(grown_soils, FullRatingMatrix(grown_values)),
-                    seed=fit_seed,
-                )
-                save_model(model, out / "model.json")
-                report.retrain_counts.append(count)
+            accepted.append(to_ratings(np.array([score for _, score in sorted(ranking)])))
+    # the stream is exactly retrain_period requests long, so the one retrain
+    # comes after its last request, and only the retrained model is saved
+    grown = FullRatingMatrix(np.vstack([completed.values, *accepted]))
+    model = fit(DEMO_MODEL_KIND, dataset_from_soils(soils + request_soils, grown), seed=fit_seed)
+    save_model(model, out / "model.json")
+    report.retrain_counts.append(retrain_period)
     report.recommendations = retrain_period
     emit(
         f"[6/6] recommend: {report.recommendations} requests served with {DEMO_MODEL_KIND}, "

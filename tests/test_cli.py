@@ -2,11 +2,12 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from microfarm import cli
+from microfarm import bench, cli
 from microfarm.models import dataset_from_soils, fit, save_model
 from microfarm.ratings import generate_dataset
 from test_models import MALFORMED, UNREADABLE, write_malformed
@@ -243,6 +244,16 @@ def test_bench_unknown_kind_lists_valid_ones(tmp_path, capsys):
 def test_bench_bad_sizes_fails(tmp_path, capsys):
     assert run("bench", "--sizes", "100,abc", "--out", tmp_path) != 0
     _err_line(capsys)
+
+
+@pytest.mark.parametrize("sizes", ["500,0", "100,4", "100000,100001"])
+def test_bench_refuses_a_bad_size_before_fitting(sizes, tmp_path, capsys):
+    out = tmp_path / "b"
+    with mock.patch.object(bench, "fit", side_effect=AssertionError("fit called")) as fit_calls:
+        assert run("bench", "--sizes", sizes, "--out", out) == 2
+    assert fit_calls.call_count == 0
+    assert sizes.split(",")[1] in _err_line(capsys)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_recommend_table_json_and_log(tmp_path, capsys):

@@ -543,8 +543,8 @@ def _assert_same_arrays(got, want):
 
 
 @st.composite
-def _binned_problem(draw, plants=st.integers(1, 3)):
-    """Binned features with ties and constant columns, and fractional labels."""
+def _raw_problem(draw, plants=st.integers(1, 3)):
+    """Features with ties and constant columns, and fractional labels."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 30))
     levels = draw(st.lists(st.integers(1, 40), min_size=5, max_size=5))
@@ -562,6 +562,13 @@ def _binned_problem(draw, plants=st.integers(1, 3)):
             )
         )
     )
+    return x, y
+
+
+@st.composite
+def _binned_problem(draw, plants=st.integers(1, 3)):
+    """_raw_problem's features binned by _binned, and its labels."""
+    x, y = draw(_raw_problem(plants))
     bins, edges = models._binned(x)
     return bins, edges, y
 
@@ -703,6 +710,100 @@ def test_pure_nodes_outside_the_rule_keep_the_full_search(n, value):
     y = np.full(n, value)
     got = models._grow_trees(bins, edges, [y], [np.arange(n)], 3, 1)
     _assert_same_arrays(got[0], _reference_grow_tree(bins.T, y, edges, 3, 1))
+
+
+# --- kept edges: only the quantile edges some training value's bin ends at ---
+
+
+def _all_quantile_bins(x):
+    """Quantile binning that keeps every distinct quantile as an edge, occupied or not."""
+    qs = np.linspace(0.0, 1.0, models.HISTOGRAM_BINS + 1)[1:-1]
+    edges = [np.unique(np.quantile(x[:, f], qs)) for f in range(x.shape[1])]
+    bins = np.array([np.searchsorted(e, x[:, f], side="left") for f, e in enumerate(edges)])
+    return bins.astype(np.uint8), edges
+
+
+@st.composite
+def _wide_problem(draw):
+    """_raw_problem, or up to 300 rows of normal features: many quantiles fall between values."""
+    if draw(st.booleans()):
+        return draw(_raw_problem())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 300))
+    x = rng.normal(size=(m, 5))
+    return x, rng.uniform(-3.0, 5.0, size=(m, draw(st.integers(1, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_wide_problem())
+def test_kept_edges_each_hold_a_training_value_and_split_as_thresholds(problem):
+    x, _ = problem
+    bins, edges = models._binned(x)
+    _, all_edges = _all_quantile_bins(x)
+    assert bins.dtype == np.uint8 and bins.shape == x.T.shape
+    for f, e in enumerate(edges):
+        assert set(e.tolist()) <= set(all_edges[f].tolist())
+        assert np.all(np.diff(e) > 0)
+        # every bin below len(edges) is occupied, and one more holds the rest
+        assert set(np.unique(bins[f][bins[f] < e.size]).tolist()) == set(range(e.size))
+        assert bins[f].max() <= e.size
+        for b in range(e.size):
+            assert np.array_equal(bins[f] <= b, x[:, f] <= e[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=_wide_problem(),
+    max_depth=st.integers(1, 8),
+    min_leaf=st.integers(1, 4),
+    trees=st.integers(1, 4),
+    n_sub=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_trees_on_kept_edges_equal_the_reference_on_every_quantile(
+    problem, max_depth, min_leaf, trees, n_sub, seed
+):
+    x, y = problem
+    m, n_plants = y.shape
+    bins, edges = models._binned(x)
+    all_bins, all_edges = _all_quantile_bins(x)
+    rows = [np.arange(m)] * n_plants
+    got = models._grow_trees(bins, edges, list(y.T), rows, max_depth, min_leaf)
+    for j, tree in enumerate(got):
+        _assert_same_arrays(
+            tree, _reference_grow_tree(all_bins.T, y[:, j], all_edges, max_depth, min_leaf)
+        )
+    # a boosting round, with the leaf values scattered to train_out
+    residual = np.ascontiguousarray(y.T) - 1.25
+    depth = min(max_depth, 4)
+    got_out, want_out = np.zeros((n_plants, m)), np.zeros((n_plants, m))
+    got = models._grow_trees(bins, edges, list(residual), rows, depth, 1, train_out=list(got_out))
+    for j, tree in enumerate(got):
+        want = _reference_grow_tree(
+            all_bins.T, residual[j], all_edges, depth, 1, train_out=want_out[j]
+        )
+        _assert_same_arrays(tree, want)
+    assert np.array_equal(got_out, want_out)
+    hp = {"rounds": 2, "learning_rate": 0.3, "tree_depth": depth}
+    _assert_same_arrays(
+        models._fit_gradient_boost(bins, edges, y, hp),
+        _reference_fit("GradientBoost", all_bins, all_edges, y, hp),
+    )
+    hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=True)
+    _assert_same_arrays(
+        models._fit_forest(bins, edges, y, hp, seed),
+        _reference_fit("RandomForest", all_bins, all_edges, y, hp, seed),
+    )
+
+
+def test_kept_edges_narrow_the_histogram_of_a_small_training_set():
+    train, _, _ = bench.cell(100, 0, seed=0)
+    xs = (train.features - train.mean) / train.std
+    _, edges = models._binned(xs)
+    _, all_edges = _all_quantile_bins(xs)
+    # 80 rows occupy at most 80 bins of a feature, not its 255 quantiles
+    assert max(e.size for e in all_edges) == models.HISTOGRAM_BINS - 1
+    assert max(e.size for e in edges) < train.m
 
 
 # --- candidate sets decoded from the generator's words ----------------------
