@@ -491,19 +491,15 @@ class _CandidateSets:
     """The feature sets that successive rng.choice(pop, size, replace=False) calls draw.
 
     row(r) equals np.sort(rng.choice(pop, size, replace=False)) on the
-    (r+1)-th such call from the generator's state at construction, as uint8.
-    Rows are decoded lazily and in order, word by word, from the same 32-bit
-    words that rng.integers(0, 2**32, dtype=np.uint32) reads; a row once
-    decoded is the same whichever caller asks for it first.
+    (r+1)-th such call from the generator's state at construction, as uint8;
+    a row once drawn is the same whichever caller asks for it first.
 
     For pop <= 10000 NumPy samples without replacement by Floyd's algorithm
     (Bentley & Floyd, CACM 1987): for j = pop-size .. pop-1 it draws v in
     [0, j] and takes v, or j when v is already taken.  It then shuffles the
-    sample (Fisher-Yates), whose draws in [0, i] for i = size-1 .. 1 are
-    read and discarded here, since the rows are sorted.  Each draw below an
-    exclusive bound b is Lemire's method on one word w (ACM TOMACS 2019):
-    the product p = w * b gives p >> 32, unless its low half is below
-    (2**32 - b) % b, in which case the next word is tried.
+    sample (Fisher-Yates) with draws in [0, i] for i = size-1 .. 1, made and
+    discarded here, since the rows are sorted.  Given those bounds as an
+    array, rng.integers makes the same draws in the same order.
     """
 
     def __init__(self, rng: np.random.Generator, pop: int, size: int) -> None:
@@ -511,34 +507,21 @@ class _CandidateSets:
         if not 1 <= size < pop <= 256:
             raise ValueError(f"decodes Floyd's branch for 1 <= size < pop <= 256, not {size}, {pop}")
         self.rng, self.pop, self.size = rng, pop, size
-        self.sets: list[np.ndarray] = []
-        self.words: list[int] = []  # read ahead, last word first
+        # one call's exclusive bounds: Floyd's, then the shuffle's
+        self.bounds = np.r_[pop - size + 1 : pop + 1, size:1:-1]
+        self.sets = np.empty((0, size), np.uint8)
 
     def row(self, r: int) -> np.ndarray:
-        while len(self.sets) <= r:
-            picked: list[int] = []
-            for j in range(self.pop - self.size, self.pop):
-                v = self._below(j + 1)
-                picked.append(j if v in picked else v)
-            for i in range(self.size, 1, -1):
-                self._below(i)  # the shuffle's draw
-            self.sets.append(np.array(sorted(picked), np.uint8))
+        if r >= len(self.sets):
+            # drawing ahead is safe only while nothing else draws from rng
+            # once the sets start, as in a forest's tree-index substream
+            n = max(64, len(self.sets), r + 1 - len(self.sets))
+            picked = self.rng.integers(0, np.tile(self.bounds, n)).reshape(n, -1)[:, : self.size]
+            for c in range(1, self.size):
+                taken = (picked[:, :c] == picked[:, c, None]).any(axis=1)
+                picked[:, c] = np.where(taken, self.pop - self.size + c, picked[:, c])
+            self.sets = np.concatenate([self.sets, np.sort(picked, axis=1).astype(np.uint8)])
         return self.sets[r]
-
-    def _below(self, bound: int) -> int:
-        """Lemire's draw in [0, bound) from the next words."""
-        rejected = (2**32 - bound) % bound
-        while True:
-            if not self.words:
-                # Reading ahead leaves rng past words no row has used yet.
-                # That is safe only while nothing else draws from rng once
-                # the candidate sets start, as in a forest's tree-index
-                # substream, which draws its bootstrap rows first.
-                block = self.rng.integers(0, 2**32, size=64, dtype=np.uint32)
-                self.words = block.tolist()[::-1]
-            product = self.words.pop() * bound
-            if product & 0xFFFFFFFF >= rejected:
-                return product >> 32
 
 
 # A forest grows its trees in groups of whole tree indices, every plant's
@@ -753,7 +736,7 @@ def load_model(path: str | Path) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelError(f"malformed model file {path}: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != MODEL_FORMAT:

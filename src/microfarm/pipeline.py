@@ -29,6 +29,7 @@ from .models import dataset_from_soils, fit, recommend_top_n, save_model
 from .ratings import (
     FEATURE_HIGH,
     FEATURE_LOW,
+    MAX_SOILS,
     FullRatingMatrix,
     SoilProfile,
     complete_matrix,
@@ -110,12 +111,13 @@ def run_demo(
 ) -> PipelineReport:
     """Run all six stages, write artifacts under ``out_dir``, return the report.
 
-    Raises FileExistsError, before writing anything, if ``out_dir`` already
-    holds ``edge/`` or ``cloud.jsonl``: appending to an earlier run's logs
-    would change the counts and every telemetry artifact.
+    Before writing anything, raises ValueError unless ``retrain_period`` is
+    in 1..MAX_SOILS, and FileExistsError if ``out_dir`` already holds
+    ``edge/`` or ``cloud.jsonl``: appending to an earlier run's logs would
+    change the counts and every telemetry artifact.
     """
-    if retrain_period < 1:
-        raise ValueError("retrain_period must be >= 1")
+    if not 1 <= retrain_period <= MAX_SOILS:
+        raise ValueError(f"retrain_period must be in 1..{MAX_SOILS}, got {retrain_period}")
     out = Path(out_dir)
     for earlier in (out / "edge", out / "cloud.jsonl"):
         if earlier.exists():

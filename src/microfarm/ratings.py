@@ -199,6 +199,7 @@ def complete_matrix(s: SparseRatingMatrix, k: int = DEFAULT_NEIGHBORS) -> FullRa
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
+    k = min(k, s.values.shape[0])  # no column has more raters; keeps k an int64
     r = s.values.astype(float)
     observed = s.values != 0
     out = s.values.copy()

@@ -9,6 +9,7 @@ import pytest
 
 from microfarm.channel import (
     EVENT_KINDS,
+    MAX_PACKETS,
     DeviceConfig,
     ScenarioConfig,
     format_summary,
@@ -134,6 +135,26 @@ def test_a_schedule_past_the_limit_is_refused():
             device_id=0, payload_len=20, link_profile=STRONG, packet_count=10,
             send_interval_ms=2.0**37,
         )
+
+
+def test_a_scenario_beyond_the_packet_cap_is_refused():
+    # configs are only built: a scenario near the cap is never run
+    def devices(count, n=1):
+        return tuple(
+            DeviceConfig(
+                device_id=i, payload_len=20, link_profile=STRONG, packet_count=count,
+                send_interval_ms=1e-3,
+            )
+            for i in range(n)
+        )
+
+    # 10**12 packets 1e-3 ms apart end at 1e9 ms, inside the schedule limit
+    with pytest.raises(ConfigError, match="packet_count over all devices is 1000000000000"):
+        ScenarioConfig(radio=RadioConfig(), devices=devices(10**12))
+    half = MAX_PACKETS // 2
+    assert ScenarioConfig(radio=RadioConfig(), devices=devices(half, n=2))
+    with pytest.raises(ConfigError, match=f"above {MAX_PACKETS}"):
+        ScenarioConfig(radio=RadioConfig(), devices=devices(half + 1, n=2))
 
 
 def test_steps_that_no_longer_advance_time_are_refused():

@@ -55,6 +55,14 @@ def test_lora_sim_missing_config_fails(tmp_path, capsys):
     _err_line(capsys)
 
 
+def test_lora_sim_config_nested_too_deeply_fails(tmp_path, capsys):
+    path, out = tmp_path / "nested.json", tmp_path / "out"
+    path.write_bytes(UNREADABLE["nested 200000 deep"])
+    assert run("lora-sim", path, "--out", out) == 2
+    assert f"scenario config {path} nests too deeply" in _err_line(capsys)
+    assert list(out.iterdir()) == []
+
+
 def test_lora_sim_bad_config_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"devices": [], "radio": {"spreading_factor": 99}}', encoding="utf-8")
@@ -150,6 +158,16 @@ def test_complete_round_trip_and_report(tmp_path):
     assert report["k"] == 7
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["sparsity"] == pytest.approx(0.3, abs=0.01)
+
+
+def test_complete_k_beyond_the_row_count_keeps_every_rater(tmp_path):
+    data = tmp_path / "data"
+    assert run("gen-data", "--num-soils", 30, "--sparsity", 0.4, "--out", data) == 0
+    full = {}
+    for k in (30, 10**20):  # 10**20 overflows int64
+        assert run("complete", data / "sparse.csv", "-k", k, "--out", tmp_path / str(k)) == 0
+        full[k] = (tmp_path / str(k) / "full.csv").read_bytes()
+    assert full[10**20] == full[30]
 
 
 @pytest.mark.parametrize("cell", ["99999999999999999999", "abc"])
@@ -355,6 +373,12 @@ def test_pipeline_demo_refuses_an_out_holding_a_cloud_log(tmp_path, capsys):
     assert run("pipeline-demo", "--quiet", "--out", tmp_path) == 2
     assert str(tmp_path / "cloud.jsonl") in _err_line(capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["cloud.jsonl"]
+
+
+def test_pipeline_demo_refuses_a_retrain_period_beyond_the_corpus_cap(tmp_path, capsys):
+    assert run("pipeline-demo", "--retrain-period", 100_001, "--quiet", "--out", tmp_path) == 2
+    assert "retrain_period" in _err_line(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -354,6 +354,7 @@ UNREADABLE = {
     "cut mid-header": b'{"format": "microfarm-model/4", "kind"',
     "not UTF-8": b"\xff\xfe",
     "empty": b"",
+    "nested 200000 deep": b"[" * 200_000 + b"]" * 200_000,
 }
 
 
