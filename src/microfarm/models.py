@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +159,7 @@ def _grow_trees(
     cands: list[_CandidateSets] | None = None,
     train_out: list[np.ndarray] | None = None,
 ) -> list[dict]:
-    """Greedy variance-reduction regression trees over binned features, grown in lockstep.
+    """Greedy variance-reduction regression trees over binned features, grown a batch at a time.
 
     Tree t fits labels[t] on the training rows rows[t] (repeats allowed),
     with at least min_leaf >= 1 rows per leaf.  Returns parallel node arrays
@@ -170,21 +169,30 @@ def _grow_trees(
     searches the features of cands[t].row(r); without, every feature.  With
     train_out, each leaf value is scattered to train_out[t] at its rows.
 
-    Every tree keeps its own depth-first order: at each step each live tree
-    pops its next node.  Node numbering, and which candidate set each node
-    searches, are therefore those of growing the tree alone.  The popped
-    nodes that may split are scored in chunks; a chunk's rows and labels
-    are concatenated once for _best_splits, and one boolean side array
-    partitions all its rows into left and right arrays, of which each child
-    takes a slice.  A node's rows stay in position order, so each bin adds
-    the same values in the same order as a bincount per node and feature
-    would.
+    Nodes are settled as they are made, a block at a time: their totals and
+    values, and whether they are leaves without a search (too deep, too few
+    rows, or pure, below).  The others are searched a batch at a time, with
+    their trees, ids, depths, sizes and totals as arrays and their rows and
+    labels concatenated.  Without cands a batch is every pending node of
+    every tree, a whole level.  With cands it is each live tree's stack top,
+    so that every tree meets its nodes, and takes its candidate sets, in its
+    own depth-first order; a pure node leaves a marker on its stack that
+    takes its candidate set in turn.  A batch is scored in chunks, one
+    comparison per chunk sends each row to its node's side, and one gather
+    moves every side's rows and labels into the children.  A node's rows
+    thus stay in position order, so each bin adds the same values in the
+    same order as a bincount per node and feature would.  Children are
+    numbered as they are made, and at the end every tree is renumbered in
+    its own depth-first order (_depth_first), as if grown alone.
 
     When every label array is integer-valued and max|y| times the most rows
-    of a tree is below 2**26, a node whose labels are all equal is a leaf
-    without a search: every sum, square and quotient of its scores is then
-    exact, so its best score equals the parent's n*v*v and cannot beat it by
-    1e-12.  It still counts as a node that may split.
+    of a tree is below 2**26, every sum of labels is exact in any order, so
+    a block's totals are added in one np.add.reduceat pass; otherwise each
+    is NumPy's pairwise sum of the node's labels, which a sequential pass
+    would round differently.  Under that rule a node whose labels are all
+    equal is a leaf without a search: every sum, square and quotient of its
+    scores is then exact, so its best score equals the parent's n*v*v and
+    cannot beat it by 1e-12.  It still counts as a node that may split.
     """
     n_trees, n_features = len(rows), bins.shape[0]
     n_cand = cands[0].size if cands else n_features
@@ -200,85 +208,175 @@ def _grow_trees(
         float(np.abs(y).max(initial=0.0)) for y in distinct
     ) * max(r.size for r in rows) < 2**26
 
-    stacks = [[(0, r, 0)] for r in rows]  # (node, rows in position order, depth)
-    n_nodes = [1] * n_trees
-    n_grown = [0] * n_trees  # nodes that may split, so far, per tree
-    node_tree: list[int] = []
-    node_id: list[int] = []
-    node_value: list[float] = []
-    splits: list[tuple[int, int, int, int, int]] = []  # (tree, node, feature, bin, left child)
-    live = range(n_trees)
-    while live:
-        # the popped nodes that may split: (tree, node, rows, depth, labels, total, features)
-        grow = []
-        for t in live:
-            node, src, depth = stacks[t].pop()
-            sub = labels[t][src]
-            total = float(sub.sum())
-            node_tree.append(t)
-            node_id.append(node)
-            node_value.append(total / src.size)
-            if depth < max_depth and src.size >= 2 * min_leaf:
-                features = cands[t].row(n_grown[t]) if cands else all_features
+    # the nodes the last step made, as one block (trees, ids, depths, sizes,
+    # rows, labels); ids count the nodes made so far, the roots first
+    roots, depth0 = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+    sizes = np.array([r.size for r in rows])
+    subs = [y[r] for y, r in zip(labels, rows)]
+    made = (roots, roots, depth0, sizes, np.concatenate(rows), np.concatenate(subs))
+    n_ids = n_trees
+    # (trees, depths, values) of every node, by id: each block is settled
+    # right after it is made, and its ids follow on from the last block's
+    nodes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    splits: list[tuple] = []  # (ids, features, bins, left ids, right ids)
+    batch = None
+    if cands:
+        # per tree, the nodes left to search, and None for each leaf that may
+        # split, which takes its candidate set in turn
+        stacks: list[list] = [[] for _ in range(n_trees)]
+        n_grown = [0] * n_trees  # nodes that may split, so far, per tree
+        live = range(n_trees)
+    while True:
+        if made is not None:
+            # settle the new nodes: their values, and which are leaves unsearched
+            tree, ids, depth, sizes, src, labs = made
+            ends = sizes.cumsum()
+            starts = ends - sizes
+            if exact:
+                totals = np.add.reduceat(labs, starts)
+            else:
+                totals = np.array([float(labs[a:b].sum()) for a, b in zip(starts.tolist(), ends.tolist())])
+            values = totals / sizes
+            nodes.append((tree, depth, values))
+            may = (depth < max_depth) & (sizes >= 2 * min_leaf)
+            grow = may
+            if exact:  # pure nodes are leaves
+                grow = may & (np.minimum.reduceat(labs, starts) != np.maximum.reduceat(labs, starts))
+            if train_out is not None and not grow.all():
+                _scatter(train_out, ~grow, tree, starts, src, sizes, values)
+            if cands:
+                # right children come first in a block, so each stack pops the left one first
+                for t, i, d, n, b, total, g, m in zip(
+                    *(x.tolist() for x in (tree, ids, depth, sizes, ends, totals, grow, may))
+                ):
+                    if g:
+                        stacks[t].append((t, i, d, n, total, src[b - n : b], labs[b - n : b]))
+                    elif m:
+                        stacks[t].append(None)
+            elif grow.all():
+                batch = (tree, ids, depth, sizes, totals, src, labs)
+            elif grow.any():
+                keep = np.repeat(grow, sizes)
+                batch = (*(x[grow] for x in (tree, ids, depth, sizes, totals)), src[keep], labs[keep])
+            made = None
+        # the batch: with cands each live tree's stack top, else every pending node
+        if cands:
+            live = [t for t in live if stacks[t]]
+            if not live:
+                break
+            top = []
+            for t in live:
+                while stacks[t]:
+                    node = stacks[t].pop()
+                    if node is not None:
+                        top.append(node)
+                        break
+                    n_grown[t] += 1
+            if not top:
+                continue
+            *head, totals, srcs, subs = zip(*top)
+            tree, ids, depth, sizes = np.array(head)
+            totals, src, labs = np.array(totals), np.concatenate(srcs), np.concatenate(subs)
+            feats = []
+            for t in head[0]:
+                feats.append(cands[t].row(n_grown[t]))
                 n_grown[t] += 1
-                grow.append((t, node, src, depth, sub, total, features))
-            elif train_out is not None:
-                train_out[t][src] = node_value[-1]
-        if exact and grow:  # pure nodes are leaves
-            step = np.concatenate([g[4] for g in grow])
-            starts = np.cumsum([0] + [g[2].size for g in grow[:-1]])
-            pure = np.minimum.reduceat(step, starts) == np.maximum.reduceat(step, starts)
-            if train_out is not None:
-                for t, _, src, _, _, total, _ in compress(grow, pure):
-                    train_out[t][src] = total / src.size
-            grow = list(compress(grow, ~pure))
-        for lo, hi in _chunks([g[2].size for g in grow], n_cand, width):
-            chunk = grow[lo:hi]
-            _, _, srcs, _, subs, totals, cand = zip(*chunk)
-            sizes = np.array([src.size for src in srcs])
-            flat = np.concatenate(srcs)
-            cand = np.array(cand, dtype=np.intp)
-            split, which, at, binned = _best_splits(
-                flat, np.concatenate(subs), sizes, np.array(totals), cand, bins, width, min_leaf
+            cand = np.array(feats, dtype=np.intp)
+        elif batch is not None:
+            tree, ids, depth, sizes, totals, src, labs = batch
+            batch = None
+            cand = np.broadcast_to(all_features, (sizes.size, n_features))
+        else:
+            break
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        # score the nodes chunk by chunk, and send every row to its node's side
+        split = np.empty(sizes.size, dtype=bool)
+        which, at = np.empty(sizes.size, dtype=np.intp), np.empty(sizes.size, dtype=np.intp)
+        left = np.empty(src.size, dtype=bool)
+        bounds = starts.tolist() + [src.size]
+        for lo, hi in _chunks(sizes.tolist(), n_cand, width):
+            a, b = bounds[lo], bounds[hi]
+            size = sizes[lo:hi]
+            split[lo:hi], which[lo:hi], at[lo:hi], binned = _best_splits(
+                src[a:b], labs[a:b], size, totals[lo:hi], cand[lo:hi], bins, width, min_leaf
             )
-            # one partition of the chunk's rows, node by node in turn
-            side = np.empty(flat.size, dtype=bool)
-            n_left, a = [], 0
-            for n, w, b in zip(sizes.tolist(), which, at):
-                np.less_equal(binned[w, a : a + n], b, out=side[a : a + n])
-                n_left.append(np.count_nonzero(side[a : a + n]))
-                a += n
-            # each child's rows are a slice of the chunk's left or right rows
-            lefts, rights = np.compress(side, flat), np.compress(~side, flat)
-            li = ri = 0
-            decided = zip(chunk, split, which, at, cand, n_left)
-            for (t, node, src, depth, _, total, _), s, w, b, feats, nl in decided:
-                nr = src.size - nl
-                if s:
-                    splits.append((t, node, int(feats[w]), b, n_nodes[t]))
-                    stacks[t].append((n_nodes[t] + 1, rights[ri : ri + nr], depth + 1))
-                    stacks[t].append((n_nodes[t], lefts[li : li + nl], depth + 1))
-                    n_nodes[t] += 2
-                elif train_out is not None:
-                    train_out[t][src] = total / src.size
-                li += nl
-                ri += nr
-        live = [t for t in live if stacks[t]]
+            if hi - lo == 1:  # a large node, alone in its chunk
+                np.less_equal(binned[which[lo]], int(at[lo]), out=left[a:b])
+            else:
+                pick = np.repeat(which[lo:hi] * (b - a), size)
+                pick += np.arange(b - a)
+                rule = np.repeat(at[lo:hi].astype(binned.dtype), size)
+                np.less_equal(binned.take(pick), rule, out=left[a:b])
+        if split.all():
+            right = ~left
+        else:
+            if train_out is not None:
+                _scatter(train_out, ~split, tree, starts, src, sizes, totals / sizes)
+            kept = np.repeat(split, sizes)
+            right = kept > left
+            left &= kept
+        s = split.nonzero()[0]
+        if s.size:
+            # the children, right ones first, each with its rows and labels in position order
+            n_left = np.add.reduceat(left, starts, dtype=np.intp)[s]
+            t, d = tree[s], depth[s] + 1
+            t, d = np.concatenate([t, t]), np.concatenate([d, d])
+            child = np.arange(n_ids, n_ids + 2 * s.size)
+            n_ids += 2 * s.size
+            splits.append((ids[s], cand[s, which[s]], at[s], child[s.size :], child[: s.size]))
+            order = np.concatenate([right.nonzero()[0], left.nonzero()[0]])
+            size = np.concatenate([sizes[s] - n_left, n_left])
+            made = (t, child, d, size, src.take(order), labs.take(order))
+    return _depth_first(nodes, splits, thresholds, n_trees)
 
-    # per-tree node arrays; a node's two children were numbered in a row when it split
-    first = np.cumsum([0] + n_nodes)
-    value = np.empty(first[-1])
-    value[first[node_tree] + node_id] = node_value
-    feature = np.full(first[-1], -1)
-    threshold = np.zeros(first[-1])
-    left = np.full(first[-1], -1)
-    t, node, f, b, lid = np.array(splits, dtype=np.int64).reshape(-1, 5).T
-    at = first[t] + node
-    feature[at] = f
-    threshold[at] = thresholds[f, b]
-    left[at] = lid
-    arrays = dict(feature=feature, threshold=threshold, left=left, value=value)
-    return [{key: arr[lo:hi] for key, arr in arrays.items()} for lo, hi in zip(first, first[1:])]
+
+def _scatter(train_out, leaves, tree, starts, src, sizes, values) -> None:
+    """Each leaf's value to train_out[its tree] at the leaf's rows of src, leaf by leaf."""
+    for t, a, n, v in zip(*(x[leaves].tolist() for x in (tree, starts, sizes, values))):
+        train_out[t][src[a : a + n]] = v
+
+
+def _depth_first(nodes, splits, thresholds, n_trees) -> list[dict]:
+    """Per-tree node arrays, each tree numbered in its own depth-first order.
+
+    nodes lists the (trees, depths, values) of the nodes in id order, and
+    splits the (ids, features, bins, left ids, right ids) of the nodes that
+    split.  The k-th node of a tree to split, in preorder, numbers its
+    children 2k + 1 and 2k + 2.  Counts of split nodes per subtree are summed
+    bottom-up, then each split node's preorder rank is passed down, one
+    depth at a time.
+    """
+    tree, depth, value = (np.concatenate(x) for x in zip(*nodes))
+    # an empty first part, for a batch of trees none of which split
+    node, f, b, lid, rid = (
+        np.concatenate(x) for x in zip((np.empty(0, dtype=np.intp),) * 5, *splits)
+    )
+    inner = np.zeros(tree.size, dtype=np.intp)  # split nodes per subtree
+    inner[node] = 1
+    order = np.argsort(depth[node], kind="stable")
+    levels = np.split(order, np.cumsum(np.bincount(depth[node]))[:-1])
+    for at in reversed(levels):
+        inner[node[at]] += inner[lid[at]] + inner[rid[at]]
+    rank = np.zeros(tree.size, dtype=np.intp)  # among the tree's split nodes, in preorder
+    new = np.zeros(tree.size, dtype=np.intp)
+    for at in levels:
+        k = rank[node[at]]
+        new[lid[at]], new[rid[at]] = 2 * k + 1, 2 * k + 2
+        rank[lid[at]], rank[rid[at]] = k + 1, k + 1 + inner[lid[at]]
+    first = np.cumsum(np.r_[0, 1 + 2 * inner[:n_trees]])
+    pos = first[tree] + new
+    out = dict(
+        feature=np.full(tree.size, -1),
+        threshold=np.zeros(tree.size),
+        left=np.full(tree.size, -1),
+        value=np.empty(tree.size),
+    )
+    out["value"][pos] = value
+    out["feature"][pos[node]] = f
+    out["threshold"][pos[node]] = thresholds[f, b]
+    out["left"][pos[node]] = new[lid]
+    return [{key: arr[lo:hi] for key, arr in out.items()} for lo, hi in zip(first, first[1:])]
 
 
 def _chunks(sizes: list[int], n_cand: int, width: int):
@@ -336,7 +434,7 @@ def _best_splits(src, sub, sizes, totals, cand, bins, width, min_leaf):
     best = score.argmax(axis=1)  # first candidate, then first bin, at the maximum
     split = score[np.arange(k), best] > totals * totals / sizes + 1e-12
     which, at = np.divmod(best, width - 1)
-    return split.tolist(), which.tolist(), at.tolist(), binned
+    return split, which, at, binned
 
 
 def _pack(trees: list[dict], bias: np.ndarray, scale: float, divisor: float) -> dict:

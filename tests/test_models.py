@@ -681,6 +681,77 @@ def test_forests_on_integer_labels_equal_the_reference(
     _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
 
 
+# --- chunk edges inside a batch ----------------------------------------------
+
+# chunks of one node (16) or of a few (64, 256): a level or a step of these
+# small problems then spans several chunks, whose edges fall between nodes
+# of different trees
+_SMALL_CELLS = st.sampled_from([16, 64, 256])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=st.one_of(_binned_problem(), _integer_problem()),
+    max_depth=st.integers(1, 8),
+    min_leaf=st.integers(1, 4),
+    cells=_SMALL_CELLS,
+)
+def test_decision_trees_grown_in_small_chunks_equal_the_reference(problem, max_depth, min_leaf, cells):
+    bins, edges, y = problem
+    m, n_plants = y.shape
+    labels = [y[:, j] for j in range(n_plants)]
+    got_out, want_out = np.zeros((n_plants, m)), np.zeros((n_plants, m))
+    with mock.patch.object(models, "_STEP_CELLS", cells):
+        got = models._grow_trees(
+            bins, edges, labels, [np.arange(m)] * n_plants, max_depth, min_leaf, train_out=list(got_out)
+        )
+    for j, tree in enumerate(got):
+        want = _reference_grow_tree(bins.T, y[:, j], edges, max_depth, min_leaf, train_out=want_out[j])
+        _assert_same_arrays(tree, want)
+    assert np.array_equal(got_out, want_out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_binned_problem(), depth=st.integers(1, 4), rounds=st.integers(1, 3), cells=_SMALL_CELLS)
+def test_boosting_rounds_grown_in_small_chunks_equal_the_reference(problem, depth, rounds, cells):
+    bins, edges, y = problem
+    m, n_plants = y.shape
+    residual = np.ascontiguousarray(y.T) - 1.25
+    got_out, want_out = np.zeros((n_plants, m)), np.zeros((n_plants, m))
+    hp = {"rounds": rounds, "learning_rate": 0.3, "tree_depth": depth}
+    with mock.patch.object(models, "_STEP_CELLS", cells):
+        got = models._grow_trees(
+            bins, edges, list(residual), [np.arange(m)] * n_plants, depth, 1, train_out=list(got_out)
+        )
+        fitted = models._fit_gradient_boost(bins, edges, y, hp)
+    for j, tree in enumerate(got):
+        want = _reference_grow_tree(bins.T, residual[j], edges, depth, 1, train_out=want_out[j])
+        _assert_same_arrays(tree, want)
+    assert np.array_equal(got_out, want_out)
+    _assert_same_arrays(fitted, _reference_fit("GradientBoost", bins, edges, y, hp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.one_of(_binned_problem(), _integer_problem()),
+    trees=st.integers(1, 5),
+    max_depth=st.integers(1, 8),
+    n_sub=st.integers(1, 5),
+    group_trees=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    cells=_SMALL_CELLS,
+)
+def test_forests_grown_in_small_chunks_equal_the_reference(
+    problem, trees, max_depth, n_sub, group_trees, seed, cells
+):
+    bins, edges, y = problem
+    hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=True)
+    with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0] * y.shape[1]):
+        with mock.patch.object(models, "_STEP_CELLS", cells):
+            got = models._fit_forest(bins, edges, y, hp, seed)
+    _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
+
+
 def _pure_root(n, value, seed=0):
     """Binned normal features of n rows, and whether the full search splits n labels of value."""
     bins, edges = models._binned(np.random.default_rng(seed).normal(size=(n, 5)))
@@ -994,3 +1065,28 @@ def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
     save_model(fit("RandomForest", train, seed=fit_seed), path)
     text = _format_2_text(load_model(path))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_FOREST_500_DIGEST
+
+
+# sha256 of the microfarm-model/2 text of the default GradientBoost fit on
+# the same size-500 cell (400 rows, 256 bins wide), recorded from the
+# depth-first grower, so that a grower of whole levels must number its
+# nodes as that one did
+SAVED_BOOST_500_DIGEST = "ae97ed35ce01db234fd8e5cb6be8efa14e414cf6a54eb8f53b7939c646e79658"
+
+
+def test_boosting_of_a_benchmark_cell_matches_its_pinned_digest():
+    train, _, fit_seed = bench.cell(500, 1, seed=0)
+    assert train.m == 400
+    text = _format_2_text(fit("GradientBoost", train, seed=fit_seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_BOOST_500_DIGEST
+
+
+# sha256 of curve.csv for benchmark(sizes=(100, 500), seed=0): every kind's
+# accuracy and MSE at both sizes, recorded from the depth-first grower
+SAVED_CURVE_DIGEST = "720c2949aac98d365f15c63a1edeb67e5b3209a23c46e4bafe336312af15f661"
+
+
+def test_curve_of_the_small_benchmark_matches_its_pinned_digest(tmp_path):
+    path = tmp_path / "curve.csv"
+    bench.write_curve_csv(path, bench.benchmark(sizes=(100, 500), seed=0))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_CURVE_DIGEST
