@@ -253,8 +253,6 @@ def _grow_trees(
                         stacks[t].append((t, i, d, n, total, src[b - n : b], labs[b - n : b]))
                     elif m:
                         stacks[t].append(None)
-            elif grow.all():
-                batch = (tree, ids, depth, sizes, totals, src, labs)
             elif grow.any():
                 keep = np.repeat(grow, sizes)
                 batch = (*(x[grow] for x in (tree, ids, depth, sizes, totals)), src[keep], labs[keep])
@@ -308,14 +306,11 @@ def _grow_trees(
                 pick += np.arange(b - a)
                 rule = np.repeat(at[lo:hi].astype(binned.dtype), size)
                 np.less_equal(binned.take(pick), rule, out=left[a:b])
-        if split.all():
-            right = ~left
-        else:
-            if train_out is not None:
-                _scatter(train_out, ~split, tree, starts, src, sizes, totals / sizes)
-            kept = np.repeat(split, sizes)
-            right = kept > left
-            left &= kept
+        if train_out is not None and not split.all():
+            _scatter(train_out, ~split, tree, starts, src, sizes, totals / sizes)
+        kept = np.repeat(split, sizes)
+        right = kept > left
+        left &= kept
         s = split.nonzero()[0]
         if s.size:
             # the children, right ones first, each with its rows and labels in position order
