@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="rank the best plants for one soil with a saved model",
     )
-    p.add_argument("model", help="model JSON written by bench/pipeline-demo or save_model")
+    p.add_argument("model", help="model file written by pipeline-demo or save_model")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--soil",

@@ -14,7 +14,6 @@ rows and candidate sets are decoded once and dropped with its group.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import numbers
@@ -46,7 +45,7 @@ DEFAULT_HYPERPARAMS = {
 # follows data density instead of the raw feature span.
 HISTOGRAM_BINS = 256
 
-MODEL_FORMAT = "microfarm-model/4"
+MODEL_FORMAT = "microfarm-model/5"
 
 
 class DataError(ValueError):
@@ -721,7 +720,7 @@ def recommend_top_n(model: TrainedModel, soil: SoilProfile, n: int) -> list[tupl
 # ---------------------------------------------------------------------------
 # persistence
 
-# Each array a document stores, by model family, as its shape: a named
+# Each array a file stores, by model family, as its shape: a named
 # dimension must agree across the family's arrays and be positive.  A tree
 # ensemble's scale and divisor are 0-d.
 _SHAPES = {
@@ -743,34 +742,41 @@ def _dtype(key: str) -> str:
     return "<i8" if key in _INT_ARRAYS else "<f8"
 
 
-def _encode(key: str, arr) -> dict:
-    dtype = _dtype(key)
-    arr = np.asarray(arr, dtype=dtype)
-    data = base64.b64encode(arr.tobytes()).decode("ascii")
-    return {"dtype": dtype, "shape": list(arr.shape), "data": data}
+def _layout(kind: str) -> dict:
+    """The arrays a file of this kind stores, in file order, each with its shape."""
+    family = kind if kind in ("KNN", "Linear") else "ensemble"
+    return {**dict.fromkeys(("mean", "std"), (len(FEATURE_NAMES),)), **_SHAPES[family]}
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Versioned JSON document; load_model(save_model(m)) predicts identically.
+    """A JSON header line, then the arrays' raw bytes; load_model(save_model(m)) predicts identically.
 
-    The document is written to a sibling temporary file that then replaces
-    ``path``, so a reader never sees a partly written model.
+    The header holds the format, kind, hyperparameters, seed, training rows
+    and each array's dtype and shape, in file order.  Spaces pad its line,
+    newline included, to a multiple of 8 bytes, and the arrays' little-endian
+    bytes follow it back to back, each in C order.  The file is written to a
+    sibling temporary file that then replaces ``path``, so a reader never
+    sees a partly written model.
     """
-    doc = {
+    values = {"mean": model.mean, "std": model.std, **model.params}
+    arrays = {key: np.asarray(values[key], dtype=_dtype(key)) for key in _layout(model.kind)}
+    header = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "hyperparams": model.hyperparams,
-        "scaling": {"mean": _encode("mean", model.mean), "std": _encode("std", model.std)},
         "seed": model.seed,
         "train_rows": model.train_rows,
-        "params": {key: _encode(key, val) for key, val in model.params.items()},
+        "arrays": {key: {"dtype": _dtype(key), "shape": list(a.shape)} for key, a in arrays.items()},
     }
+    line = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    line += b" " * (-(len(line) + 1) % 8) + b"\n"
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.write(line)
+            for arr in arrays.values():
+                fh.write(arr.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -782,14 +788,20 @@ def _require(ok, what: str) -> None:
         raise ModelError(f"malformed model file: {what}")
 
 
-def _read_arrays(obj, shapes: dict) -> dict:
-    """Each key's {dtype, shape, data} entry, checked in that order and decoded."""
-    _require(isinstance(obj, dict), f"expected an object holding {', '.join(shapes)}")
-    sizes, out = {}, {}
+def _read_arrays(entries, shapes: dict, buf: bytes, start: int) -> dict:
+    """The arrays that the header's entries declare, as read-only views of buf from start.
+
+    Every entry's dtype and shape are checked first, in file order; then the
+    declared sizes must add up to the bytes after the header, before any
+    array is made; last, each array must be finite.
+    """
+    names = ", ".join(shapes)
+    ok = isinstance(entries, dict) and list(entries) == list(shapes)
+    _require(ok, f"'arrays' must be {names}, in that order")
+    sizes, counts = {}, []
     for key, shape in shapes.items():
-        _require(key in obj, f"missing {key!r}")
-        entry, dtype, n = obj[key], _dtype(key), len(shape)
-        _require(isinstance(entry, dict), f"{key!r} is not a {{dtype, shape, data}} object")
+        entry, dtype, n = entries[key], _dtype(key), len(shape)
+        _require(isinstance(entry, dict), f"{key!r} is not a {{dtype, shape}} object")
         _require(entry.get("dtype") == dtype, f"{key!r} dtype is not {dtype!r}")
         dims = entry.get("shape")
         ok = isinstance(dims, list) and len(dims) == n and all(type(d) is int for d in dims)
@@ -797,15 +809,15 @@ def _read_arrays(obj, shapes: dict) -> dict:
         for dim, size in zip(shape, dims):
             want = dim if isinstance(dim, int) else sizes.setdefault(dim, size)
             _require(size == want and size > 0, f"{key!r} has {size} {dim}, expected {want}")
-        try:
-            raw = base64.b64decode(entry.get("data"), validate=True)
-        except (TypeError, ValueError):
-            raise ModelError(f"malformed model file: {key!r} data is not base64") from None
-        want = 8 * math.prod(dims)
-        _require(len(raw) == want, f"{key!r} data holds {len(raw)} bytes, expected {want}")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        counts.append(math.prod(dims))
+    want = 8 * sum(counts)
+    _require(len(buf) - start == want, f"payload holds {len(buf) - start} bytes, expected {want}")
+    out = {}
+    for key, count in zip(shapes, counts):
+        arr = np.frombuffer(buf, _dtype(key), count, start).reshape(entries[key]["shape"])
         _require(np.isfinite(arr).all(), f"{key!r} is not finite")
         out[key] = arr
+        start += 8 * count
     return out
 
 
@@ -818,43 +830,54 @@ def _check_ensemble(p: dict) -> None:
     # a leaf's left is -1; any other node's children, left and left + 1,
     # lie after it, inside its tree (left + 1 could wrap, tree_end - 1 cannot)
     tree_end = np.repeat(np.append(roots[1:], nodes), np.diff(np.append(roots, nodes)))
-    left = p["left"]
-    ok = np.where(feature == -1, left == -1, (np.arange(nodes) < left) & (left < tree_end - 1))
+    left, leaf = p["left"], feature == -1
+    ok = leaf & (left == -1) | ~leaf & (np.arange(nodes) < left) & (left < tree_end - 1)
     _require(ok.all(), f"'left' child of node {np.argmin(ok)} is out of place")
-    _require(p["divisor"] > 0, "'divisor' must be positive")
+    divisor = p["divisor"]
+    _require(divisor > 0, "'divisor' must be positive")
+    # every score is finite: none exceeds the largest |bias| plus |scale| times
+    # the trees per plant times the largest |value|, over the divisor, and a
+    # factor of 2 covers the rounding of any order of summation
+    with np.errstate(over="ignore"):
+        trees = roots.size // p["bias"].size
+        top = np.abs(p["bias"]).max() + np.abs(p["scale"]) * trees * np.abs(p["value"]).max()
+        bound = 2 * max(top, top / divisor)
+    _require(np.isfinite(bound), "scores can overflow")
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Read a save_model document; anything malformed raises ModelError."""
+    """Read a save_model file; anything malformed raises ModelError."""
+    buf = Path(path).read_bytes()
+    # the header is the first line (JSON text holds no raw newline), or a
+    # whole file that has no newline
+    start = buf.find(b"\n") + 1 or len(buf)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        header = json.loads(buf[:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelError(f"malformed model file {path}: {exc}") from None
-    fmt = doc.get("format") if isinstance(doc, dict) else None
+    fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != MODEL_FORMAT:
         raise ModelError(f"unsupported model format {fmt!r}, expected {MODEL_FORMAT!r}")
-    for key in ("kind", "hyperparams", "scaling", "seed", "train_rows", "params"):
-        _require(key in doc, f"missing {key!r}")
-    kind = doc["kind"]
+    for key in ("kind", "hyperparams", "seed", "train_rows", "arrays"):
+        _require(key in header, f"missing {key!r}")
+    kind = header["kind"]
     if kind not in MODEL_KINDS:
         raise ModelError(f"unknown model kind {kind!r} in file")
-    _require(isinstance(doc["hyperparams"], dict), "'hyperparams' is not an object")
+    _require(isinstance(header["hyperparams"], dict), "'hyperparams' is not an object")
     for key, low in (("seed", 0), ("train_rows", 1)):
-        val = doc[key]  # an exact type check, since bool subclasses int
+        val = header[key]  # an exact type check, since bool subclasses int
         _require(type(val) is int and val >= low, f"{key!r} must be an int >= {low}, got {val!r}")
-    scaling = _read_arrays(doc["scaling"], dict.fromkeys(("mean", "std"), (len(FEATURE_NAMES),)))
-    _require((scaling["std"] > 0).all(), "scaling 'std' must be positive")
-    family = kind if kind in ("KNN", "Linear") else "ensemble"
-    params = _read_arrays(doc["params"], _SHAPES[family])
-    if family == "ensemble":
+    params = _read_arrays(header["arrays"], _layout(kind), buf, start)
+    mean, std = params.pop("mean"), params.pop("std")
+    _require((std > 0).all(), "scaling 'std' must be positive")
+    if kind not in ("KNN", "Linear"):
         _check_ensemble(params)
     return TrainedModel(
         kind=kind,
-        hyperparams=_check_hyperparams(kind, doc["hyperparams"]),
-        mean=scaling["mean"],
-        std=scaling["std"],
+        hyperparams=_check_hyperparams(kind, header["hyperparams"]),
+        mean=mean,
+        std=std,
         params=params,
-        seed=doc["seed"],
-        train_rows=doc["train_rows"],
+        seed=header["seed"],
+        train_rows=header["train_rows"],
     )

@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import re
 from unittest import mock
 
@@ -186,9 +187,9 @@ def test_load_rejects_other_documents(tmp_path):
 def test_load_rejects_bad_seed_and_train_rows(key, value, tmp_path):
     path = tmp_path / "model.json"
     save_model(fit("Linear", _dataset(40), seed=0), path)
-    doc = json.loads(path.read_text())
-    doc[key] = value
-    path.write_text(json.dumps(doc))
+    header, payload = _split(path.read_bytes())
+    header[key] = value
+    path.write_bytes(_joined(header, payload))
     with pytest.raises(ModelError, match=f"'{key}' must be an int"):
         load_model(path)
 
@@ -222,30 +223,56 @@ def test_recommend_rejects_out_of_range_n():
             recommend_top_n(model, _soil(), bad)
 
 
-def _decoded(entry):
-    """The writable array a saved {dtype, shape, data} entry holds."""
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+def _split(raw):
+    """A saved file's header, and its payload as writable bytes."""
+    head, _, payload = raw.partition(b"\n")
+    return json.loads(head), bytearray(payload)
 
 
-def _encoded(arr):
-    data = base64.b64encode(arr.tobytes()).decode("ascii")
-    return {"dtype": arr.dtype.str, "shape": list(arr.shape), "data": data}
+def _joined(header, payload):
+    """The file of a header and a payload, its line padded to 8 bytes as save_model pads it."""
+    line = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n" + bytes(payload)
+
+
+def _decoded(header, payload):
+    """Each array the header declares, as a writable view of its bytes in the payload."""
+    arrays, at = {}, 0
+    for key, entry in header["arrays"].items():
+        count = math.prod(entry["shape"])
+        arrays[key] = np.frombuffer(payload, entry["dtype"], count, at).reshape(entry["shape"])
+        at += 8 * count
+    return arrays
+
+
+def _encoded(header, arrays):
+    """The file of a header whose array entries follow arrays, in its order, with their bytes."""
+    header["arrays"] = {k: {"dtype": a.dtype.str, "shape": list(a.shape)} for k, a in arrays.items()}
+    return _joined(header, b"".join(a.tobytes() for a in arrays.values()))
+
+
+def _header(edit):
+    def apply(header, payload):
+        edit(header)
+        return _joined(header, payload)
+
+    return apply
 
 
 def _mutate(key, value):
-    def apply(doc):
-        arr = _decoded(doc["params"][key])
-        arr[0] = value(arr)
-        doc["params"][key] = _encoded(arr)
+    def apply(header, payload):
+        arr = _decoded(header, payload)[key]
+        arr.flat[0] = value(arr)
+        return _joined(header, payload)
 
     return apply
 
 
 def _edit(key, field, value):
-    def apply(doc):
-        entry = doc["params"][key]
+    def apply(header, payload):
+        entry = header["arrays"][key]
         entry[field] = value(entry)
+        return _joined(header, payload)
 
     return apply
 
@@ -265,36 +292,104 @@ def _right(left):
     return np.where(left >= 0, left + 1, -1)
 
 
-def _as_format_3(doc):
+def _json_document(fmt, header, arrays, encode):
+    """The one-line JSON document of the formats before /5, each array written by encode."""
+    scaling = {key: encode(arrays.pop(key)) for key in ("mean", "std")}
+    doc = {
+        "format": fmt,
+        "kind": header["kind"],
+        "hyperparams": header["hyperparams"],
+        "scaling": scaling,
+        "seed": header["seed"],
+        "train_rows": header["train_rows"],
+        "params": {key: encode(arr) for key, arr in arrays.items()},
+    }
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _base64(arr):
+    """An array as /3 and /4 stored it: {dtype, shape, data}, data the base64 of its bytes."""
+    data = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape), "data": data}
+
+
+def _as_format_4(header, payload):
+    """The same model as a microfarm-model/4 document."""
+    return _json_document("microfarm-model/4", header, _decoded(header, payload), _base64)
+
+
+def _as_format_3(header, payload):
     """The same model in the microfarm-model/3 layout, right array included."""
-    doc["format"] = "microfarm-model/3"
-    doc["params"] = _with_right(doc["params"], lambda e: _encoded(_right(_decoded(e))))
+    arrays = _with_right(_decoded(header, payload), _right)
+    return _json_document("microfarm-model/3", header, arrays, _base64)
 
 
-def _as_format_2(doc):
+def _as_format_2(header, payload):
     """The same model in the microfarm-model/2 layout: nested lists, not bytes."""
-    _as_format_3(doc)
-    doc["format"] = "microfarm-model/2"
-    for group in ("scaling", "params"):
-        doc[group] = {key: _decoded(entry).tolist() for key, entry in doc[group].items()}
+    arrays = _with_right(_decoded(header, payload), _right)
+    return _json_document("microfarm-model/2", header, arrays, lambda arr: arr.tolist())
 
 
-def _left_at_tree_end(doc):
+def _left_at_tree_end(header, payload):
     """Node 0's left child moved to the last node of its tree, so left + 1 leaves it."""
-    roots = _decoded(doc["params"]["roots"])
-    _mutate("left", lambda arr: roots[1] - 1)(doc)
+    roots = _decoded(header, payload)["roots"]
+    return _mutate("left", lambda arr: roots[1] - 1)(header, payload)
 
 
-def _with_nan(entry):
-    arr = _decoded(entry)
-    arr[1] = np.nan
-    return _encoded(arr)["data"]
+def _with_nan(header, payload):
+    _decoded(header, payload)["threshold"][1] = np.nan
+    return _joined(header, payload)
 
 
-# name -> (edit of a saved DecisionTree document, expected error text);
-# node 0 is the first tree's root, an internal node
+def _cut_in_half(key):
+    """The second half of key's bytes taken out of the payload; the header unchanged."""
+
+    def apply(header, payload):
+        arrays = _decoded(header, payload)
+        keys = list(arrays)
+        end = sum(arrays[k].nbytes for k in keys[: keys.index(key) + 1])
+        return _joined(header, payload[: end - arrays[key].nbytes // 2] + payload[end:])
+
+    return apply
+
+
+def _one_value_longer(key):
+    """One more value after key's bytes in the payload; the header unchanged."""
+
+    def apply(header, payload):
+        arrays = _decoded(header, payload)
+        arrays[key] = np.append(arrays[key], 1.0)
+        return _joined(header, b"".join(arr.tobytes() for arr in arrays.values()))
+
+    return apply
+
+
+def _nodes(count):
+    """Every node array's declared length set to count(its length); the payload unchanged."""
+
+    def apply(header, payload):
+        for key in ("feature", "threshold", "left", "value"):
+            entry = header["arrays"][key]
+            entry["shape"] = [count(entry["shape"][0])]
+        return _joined(header, payload)
+
+    return apply
+
+
+def _out_of_order(header, payload):
+    """feature and threshold swapped in the header and the payload alike, each array intact."""
+    arrays = _decoded(header, payload)
+    keys = list(arrays)
+    i = keys.index("feature")
+    keys[i : i + 2] = keys[i + 1], keys[i]
+    return _encoded(header, {key: arrays[key] for key in keys})
+
+
+# name -> (edit of a saved DecisionTree file, given its header and payload,
+# to the bytes of the malformed file; expected error text); node 0 is the
+# first tree's root, an internal node
 MALFORMED = {
-    "missing params": (lambda doc: doc.pop("params"), "missing 'params'"),
+    "missing arrays": (_header(lambda h: h.pop("arrays")), "missing 'arrays'"),
     "child out of range": (_mutate("left", lambda arr: arr.size + 5), "'left'"),
     "self-loop child": (_mutate("left", lambda arr: 0), "'left'"),
     "left child at its tree's last node": (
@@ -302,32 +397,29 @@ MALFORMED = {
         "'left' child of node 0 is out of place",
     ),
     "child whose sibling wraps": (_mutate("left", lambda arr: 2**63 - 1), "'left' child of node 0"),
-    "format 1": (lambda doc: doc.update(format="microfarm-model/1"), "microfarm-model/1"),
-    "format 2": (_as_format_2, "expected 'microfarm-model/4'"),
+    "format 1": (_header(lambda h: h.update(format="microfarm-model/1")), "microfarm-model/1"),
+    "format 2": (_as_format_2, "expected 'microfarm-model/5'"),
     "format 3": (_as_format_3, "unsupported model format 'microfarm-model/3'"),
-    "text hyperparameter": (lambda doc: doc["hyperparams"].update(max_depth="12"), "max_depth"),
-    "truncated data": (
-        _edit("threshold", "data", lambda e: e["data"][: len(e["data"]) // 8 * 4]),
-        "'threshold' data holds",
+    "format 4": (_as_format_4, "unsupported model format 'microfarm-model/4'"),
+    "text hyperparameter": (
+        _header(lambda h: h["hyperparams"].update(max_depth="12")),
+        "max_depth",
     ),
-    "wrong-length data": (
-        _edit("threshold", "data", lambda e: _encoded(np.append(_decoded(e), 1.0))["data"]),
-        "'threshold' data holds",
-    ),
-    "non-base64 data": (
-        _edit("threshold", "data", lambda e: e["data"][:4] + "!" + e["data"][4:]),
-        "'threshold' data is not base64",
-    ),
+    "truncated data": (_cut_in_half("threshold"), "payload holds"),
+    "wrong-length data": (_one_value_longer("threshold"), "payload holds"),
+    "payload one byte short": (lambda h, p: _joined(h, p[:-1]), "payload holds"),
+    "trailing bytes after the payload": (lambda h, p: _joined(h, p + b"\n"), "payload holds"),
+    "arrays out of order": (_out_of_order, "'arrays' must be mean, std, feature, threshold"),
     "wrong dtype": (_edit("feature", "dtype", lambda e: "<f8"), "'feature' dtype is not '<i8'"),
     "float shape": (
         _edit("feature", "shape", lambda e: [float(e["shape"][0])]),
         "'feature' shape is not a list of 1 ints",
     ),
-    "shape against bytes": (
-        _edit("feature", "shape", lambda e: [e["shape"][0] + 1]),
-        "'feature' data holds",
-    ),
-    "nan threshold": (_edit("threshold", "data", _with_nan), "'threshold' is not finite"),
+    "shape against bytes": (_nodes(lambda n: n + 1), "payload holds"),
+    # 2**64 bytes of nodes: refused by the size check, before any array is made
+    "shape whose byte count exceeds the file": (_nodes(lambda n: 2**61), "payload holds"),
+    "nan threshold": (_with_nan, "'threshold' is not finite"),
+    "scale that overflows the scores": (_mutate("scale", lambda arr: 1e308), "scores can overflow"),
 }
 
 
@@ -336,9 +428,7 @@ def write_malformed(tmp_path, name):
     assert model.params["feature"][0] >= 0
     path = tmp_path / "model.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    MALFORMED[name][0](doc)
-    path.write_text(json.dumps(doc))
+    path.write_bytes(MALFORMED[name][0](*_split(path.read_bytes())))
     return path
 
 
@@ -349,9 +439,9 @@ def test_load_rejects_malformed_model(name, tmp_path):
         load_model(path)
 
 
-# raw file contents that are not a JSON document
+# raw file contents whose header line is not a JSON document
 UNREADABLE = {
-    "cut mid-header": b'{"format": "microfarm-model/4", "kind"',
+    "cut mid-header": b'{"format": "microfarm-model/5", "kind"',
     "not UTF-8": b"\xff\xfe",
     "empty": b"",
     "nested 200000 deep": b"[" * 200_000 + b"]" * 200_000,
@@ -366,29 +456,55 @@ def test_load_names_the_file_it_cannot_parse(name, tmp_path):
         load_model(path)
 
 
+@st.composite
+def _fitted(draw):
+    """A small fit of any kind, on normal features and fractional or integer labels."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(5, 30))
+    labels = rng.uniform(-3.0, 5.0, size=(m, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        labels = np.round(labels)
+    hp = {"RandomForest": {"trees": 3}, "GradientBoost": {"rounds": 3}}.get(kind, {})
+    return fit(kind, Dataset(rng.normal(size=(m, 5)), labels), seed=m, hyperparams=hp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_fitted())
+def test_save_then_load_gives_the_fitted_arrays_bit_for_bit(model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("round") / "model.json"
+    save_model(model, path)
+    raw = path.read_bytes()
+    # one JSON line padded to 8 bytes, then every array's bytes in header order
+    header, payload = _split(raw)
+    assert raw.index(b"\n") % 8 == 7
+    fitted = {"mean": model.mean, "std": model.std, **model.params}
+    assert list(header["arrays"]) == list(fitted)
+    stored = (np.asarray(a, dtype=models._dtype(k)).tobytes() for k, a in fitted.items())
+    assert bytes(payload) == b"".join(stored)
+    restored = load_model(path)
+    for field in ("kind", "hyperparams", "seed", "train_rows"):
+        assert getattr(restored, field) == getattr(model, field), field
+    loaded = {"mean": restored.mean, "std": restored.std, **restored.params}
+    assert list(loaded) == list(fitted)
+    for key, arr in loaded.items():
+        want = np.asarray(fitted[key])
+        assert arr.dtype == want.dtype and arr.shape == want.shape, key
+        assert arr.tobytes() == want.tobytes(), key
+        # views of the file's bytes, as the header declares them
+        assert arr.flags.aligned and not arr.flags.writeable and not arr.flags.owndata, key
+
+
 @pytest.fixture(scope="module")
 def boosted(tmp_path_factory):
-    """A saved GradientBoost document with several trees per plant, and a scratch path."""
+    """The bytes of a saved GradientBoost file with several trees per plant, and a scratch path."""
     model = fit("GradientBoost", _dataset(40), seed=0, hyperparams={"rounds": 4, "tree_depth": 2})
     path = tmp_path_factory.mktemp("boosted") / "model.json"
     save_model(model, path)
-    return path.read_text(), path
+    return path.read_bytes(), path
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_load_survives_any_one_corrupted_index(boosted, data):
-    text, path = boosted
-    doc = json.loads(text)
-    key = data.draw(st.sampled_from(("feature", "left")))
-    values = _decoded(doc["params"][key])
-    i = data.draw(st.integers(0, len(values) - 1))
-    old = int(values[i])
-    values[i] = data.draw(
-        st.one_of(st.integers(-2, len(values) + 2), st.integers(-12, 12).map(lambda d: old + d))
-    )
-    doc["params"][key] = _encoded(values)
-    path.write_text(json.dumps(doc))
+def _finite_or_refused(path):
     try:
         model = load_model(path)
     except ModelError:
@@ -399,12 +515,45 @@ def test_load_survives_any_one_corrupted_index(boosted, data):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
+def test_load_survives_any_one_corrupted_index(boosted, data):
+    raw, path = boosted
+    header, payload = _split(raw)
+    key = data.draw(st.sampled_from(("feature", "left")))
+    values = _decoded(header, payload)[key]
+    i = data.draw(st.integers(0, len(values) - 1))
+    old = int(values[i])
+    values[i] = data.draw(
+        st.one_of(st.integers(-2, len(values) + 2), st.integers(-12, 12).map(lambda d: old + d))
+    )
+    path.write_bytes(_joined(header, payload))
+    _finite_or_refused(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_of_a_file_with_any_byte_changed_refuses_it_or_predicts_finite_scores(boosted, data):
+    raw, path = boosted
+    i = data.draw(st.integers(0, len(raw) - 1))
+    new = raw[i] ^ data.draw(st.integers(1, 255))
+    path.write_bytes(raw[:i] + bytes([new]) + raw[i + 1 :])
+    _finite_or_refused(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
 def test_load_of_a_file_cut_short_raises_model_error(boosted, data):
-    text, path = boosted
-    raw = text.encode("utf-8")
-    # every cut that loses more than the closing newline
-    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 2))])
+    raw, path = boosted
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
     with pytest.raises(ModelError):
+        load_model(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tail=st.binary(min_size=1))
+def test_load_of_a_file_with_bytes_appended_raises_model_error(boosted, tail):
+    raw, path = boosted
+    path.write_bytes(raw + tail)
+    with pytest.raises(ModelError, match="payload holds"):
         load_model(path)
 
 
@@ -413,12 +562,26 @@ def test_save_replaces_the_file_whole(tmp_path, monkeypatch):
     save_model(fit("Linear", _dataset(20)), path)
     before = path.read_bytes()
 
-    def crash(doc, fh, **kwargs):
-        fh.write('{"format":')
-        raise OSError("disk full")
+    class DiskFull:
+        """A file whose writes fail after the first, the header line."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("disk full")
+            return self.fh.write(data)
 
     # a save that fails mid-write leaves the old file and no temporary behind
-    monkeypatch.setattr(json, "dump", crash)
+    monkeypatch.setattr(models, "open", lambda *args: DiskFull(open(*args)), raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_model(fit("KNN", _dataset(20)), path)
     assert path.read_bytes() == before
@@ -1012,11 +1175,11 @@ SAVED_DIGESTS = {
     "GradientBoost": "50b929184115f1472d530e20df0d38875919da9a59329e8e987db3cc9067d071",
 }
 
-# sha256 of the save_model (microfarm-model/4) file of the same fits
+# sha256 of the save_model (microfarm-model/5) file of the same fits
 SAVED_FILE_DIGESTS = {
-    "DecisionTree": "48f8d3bf672190d62a4ab7a554789826863fa256eb688d505889eedad8664be4",
-    "RandomForest": "d9e128e8de09d55344069097d3991b6cd698c1cd1383147904f351ad2122b789",
-    "GradientBoost": "36b32c11164ab668af106e8b00464f9462d19718ee6de845e62216300279f34f",
+    "DecisionTree": "4ffc890d7744681c6f667048cdf9d44c9afe4cc7cfff1bb8b83cdef3d792b922",
+    "RandomForest": "fd85ed021c41b4d03a114018dc8a826bd4e2702eb6a7698bb1470fb602401436",
+    "GradientBoost": "bffb41cae839525b16b01dbcd54c48537a530271f4191894d4e5cf7a757c0863",
 }
 
 
