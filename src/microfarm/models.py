@@ -10,6 +10,15 @@ that tree's own depth-first order) searches the r-th.  So permuting label
 columns permutes predictions and nothing else.  The forest grows in groups
 of whole tree indices, each with all its plant trees, so a tree index's
 rows and candidate sets are decoded once and dropped with its group.
+
+A tree fit splits its plant columns into consecutive groups, one per CPU
+the process may run on and at most one per plant.  The caller grows the
+first group; every other group grows in a forked child process, which
+sends its packed trees back over a pipe (_in_workers), and the groups'
+ensembles are joined in plant order.  A plant's trees depend only on its
+own column, and a forest's also on the tree indices' seeds, which every
+group draws from afresh, so a model's bytes are the same on any number
+of CPUs.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ import json
 import math
 import numbers
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -446,6 +457,19 @@ def _pack(trees: list[dict], bias: np.ndarray, scale: float, divisor: float) -> 
     return ens
 
 
+def _join(parts: list[dict]) -> dict:
+    """One packed ensemble from those of consecutive plant groups, in group order.
+
+    _pack rebases each part's left children by the nodes of the parts before
+    it, as it would a tree's; the parts' roots move by as much.
+    """
+    nodes = [{key: p[key] for key in ("feature", "threshold", "left", "value")} for p in parts]
+    bias = np.concatenate([p["bias"] for p in parts])
+    ens = _pack(nodes, bias, parts[0]["scale"], parts[0]["divisor"])
+    ens["roots"] = np.concatenate([p["roots"] + start for p, start in zip(parts, ens["roots"])])
+    return ens
+
+
 # Rows per walk are capped so that about this many (tree, row) pairs descend
 # at once, which bounds the walk's memory on large batches.
 _WALK_PAIRS = 1 << 18
@@ -544,12 +568,13 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
         params = _fit_linear(xs, y, hp["ridge_lambda"])
     else:
         bins, edges = _binned(xs)
-        if kind == "DecisionTree":
-            params = _fit_decision_tree(bins, edges, y, hp)
-        elif kind == "RandomForest":
-            params = _fit_forest(bins, edges, y, hp, seed)
-        else:
-            params = _fit_gradient_boost(bins, edges, y, hp)
+        grow = {
+            "DecisionTree": lambda part: _fit_decision_tree(bins, edges, part, hp),
+            "RandomForest": lambda part: _fit_forest(bins, edges, part, hp, seed),
+            "GradientBoost": lambda part: _fit_gradient_boost(bins, edges, part, hp),
+        }[kind]
+        parts = np.array_split(y, max(1, min(_cpus(), y.shape[1])), axis=1)
+        params = _join(_in_workers(grow, parts))
     return TrainedModel(
         kind=kind,
         hyperparams=hp,
@@ -658,6 +683,80 @@ def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) 
         rounds.append(_grow_trees(bins, edges, labels, rows, hp["tree_depth"], 1, train_out=out))
         residual = residual - lr * step
     return _pack([grown[j] for j in range(n_plants) for grown in rounds], init, lr, 1.0)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _in_workers(grow, parts: list) -> list:
+    """[grow(part) for part in parts]: the first inline, every other in a forked child.
+
+    A child sends back its result, or the exception it raised, as one pickle
+    over a pipe (_child).  The parent grows the first part meanwhile, then
+    reads each pipe to its end and reaps its child, in order.  It re-raises a
+    child's exception; a child that ends without a result (killed, or its
+    reply would not pickle) raises ChildProcessError.  However the call ends,
+    a KeyboardInterrupt included, it kills and reaps every child it has not
+    reaped, so none outlives it.
+    """
+    children = {}  # pid: the read end of its pipe
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(grow, part, r, w)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        out = [grow(parts[0])]
+        for pid in list(children):
+            reply = children[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"tree worker {pid} ended without a result (exit status {code})")
+            ok, result = pickle.loads(reply)
+            if not ok:
+                raise result
+            out.append(result)
+        return out
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _child(grow, part, r: int, w: int):
+    """In a forked child: send (True, grow(part)) or (False, its exception) down w, then exit.
+
+    The child leaves only through os._exit, never back into its caller's
+    frames, atexit handlers or stdio buffers; its status is 0 only once the
+    whole reply is written.  grow must make no BLAS call, since a forked
+    child has none of its parent's BLAS threads; tree growth makes none.
+    """
+    status = 1
+    try:
+        os.close(r)
+        try:
+            reply = (True, grow(part))
+        except BaseException as exc:
+            reply = (False, exc)
+        with open(w, "wb") as pipe:
+            pickle.dump(reply, pipe, protocol=5)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

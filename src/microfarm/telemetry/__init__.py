@@ -24,7 +24,6 @@ from .cloud import (
     CloudSink,
     FileCloudSink,
     ForwardBusyError,
-    InMemoryCloudSink,
     forward_batch,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "CloudEnvelope",
     "CloudSink",
     "FileCloudSink",
-    "InMemoryCloudSink",
     "ForwardBusyError",
     "forward_batch",
 ]

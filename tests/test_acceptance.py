@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from acceptance_log import record
+from memory_sink import InMemoryCloudSink
 from microfarm import cli
 from microfarm.bench import DEFAULT_SIZES, benchmark
 from microfarm.channel import load_scenario, resolve_overlaps, run_scenario
@@ -29,7 +30,7 @@ from microfarm.ratings import (
     generate_dataset,
     mask,
 )
-from microfarm.telemetry.cloud import InMemoryCloudSink, forward_batch
+from microfarm.telemetry.cloud import forward_batch
 from microfarm.telemetry.codec import CodecError, SensorReading, decode_reading, encode_reading
 from microfarm.telemetry.edge import EdgeStore
 

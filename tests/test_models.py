@@ -4,7 +4,10 @@ import base64
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microfarm import bench, models
+from microfarm import bench, cli, models
 from microfarm.models import (
     DEFAULT_HYPERPARAMS,
     MODEL_KINDS,
@@ -1253,3 +1256,98 @@ def test_curve_of_the_small_benchmark_matches_its_pinned_digest(tmp_path):
     path = tmp_path / "curve.csv"
     bench.write_curve_csv(path, bench.benchmark(sizes=(100, 500), seed=0))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_CURVE_DIGEST
+
+
+# --- fits spread over worker processes ---------------------------------------
+
+_TREE_KINDS = ("DecisionTree", "RandomForest", "GradientBoost")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fit_with_workers(workers, *args, **kwargs):
+    with mock.patch.object(models, "_cpus", lambda: workers):
+        model = fit(*args, **kwargs)
+    _assert_no_child_left()
+    return model
+
+
+@pytest.mark.parametrize("kind", _TREE_KINDS)
+def test_fits_of_a_benchmark_cell_are_bitwise_equal_over_any_worker_count(kind):
+    train, _, fit_seed = bench.cell(500, 1, seed=0)
+    want = _fit_with_workers(1, kind, train, seed=fit_seed).params
+    for workers in (2, 3, 15):
+        _assert_same_arrays(_fit_with_workers(workers, kind, train, seed=fit_seed).params, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(_TREE_KINDS),
+    m=st.integers(5, 60),
+    plants=st.integers(1, 6),
+    integer=st.booleans(),
+    workers=st.sampled_from([2, 3, 15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_small_fits_are_bitwise_equal_over_any_worker_count(kind, m, plants, integer, workers, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.uniform(-3.0, 5.0, size=(m, plants))
+    data = Dataset(rng.normal(size=(m, 5)), np.round(labels) if integer else labels)
+    hp = {"RandomForest": {"trees": 7}, "GradientBoost": {"rounds": 4}}.get(kind, {})
+    want = _fit_with_workers(1, kind, data, seed=m, hyperparams=hp).params
+    _assert_same_arrays(_fit_with_workers(workers, kind, data, seed=m, hyperparams=hp).params, want)
+
+
+def _failing_in(where, action):
+    """A stand-in for _fit_decision_tree that calls action() in the parent or in a child."""
+    parent, grow = os.getpid(), models._fit_decision_tree
+
+    def fit_part(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            action()
+        return grow(*args)
+
+    return mock.patch.object(models, "_fit_decision_tree", fit_part)
+
+
+def test_a_child_exception_is_raised_in_the_parent_with_its_type():
+    def fail():
+        raise ValueError("raised in a tree worker")
+
+    with _failing_in("child", fail), mock.patch.object(models, "_cpus", lambda: 3):
+        with pytest.raises(ValueError, match="raised in a tree worker"):
+            fit("DecisionTree", _dataset())
+    _assert_no_child_left()
+
+
+def test_a_child_killed_without_a_result_is_a_child_process_error(tmp_path, capsys):
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with _failing_in("child", die), mock.patch.object(models, "_cpus", lambda: 3):
+        with pytest.raises(ChildProcessError, match="without a result"):
+            fit("DecisionTree", _dataset())
+        _assert_no_child_left()
+        argv = ["bench", "--sizes", "100", "--kinds", "DecisionTree", "--out", str(tmp_path), "--quiet"]
+        assert cli.main(argv) != 0
+    _assert_no_child_left()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tree worker "), lines
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_a_parent_failing_inline_kills_and_reaps_every_child(exc):
+    def fail():
+        raise exc("raised in the parent's own group")
+
+    # the children would sleep a minute unless killed
+    slow = _failing_in("child", lambda: time.sleep(60))
+    start = time.monotonic()
+    with slow, _failing_in("parent", fail), mock.patch.object(models, "_cpus", lambda: 3):
+        with pytest.raises(exc, match="parent's own group"):
+            fit("DecisionTree", _dataset())
+    _assert_no_child_left()
+    assert time.monotonic() - start < 30

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memory_sink import InMemoryCloudSink
 from microfarm.telemetry import (
     CloudEnvelope,
     EdgeStore,
     FileCloudSink,
-    InMemoryCloudSink,
     SensorReading,
     StorageError,
     encode_reading,

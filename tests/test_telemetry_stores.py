@@ -2,11 +2,11 @@
 
 import pytest
 
+from memory_sink import InMemoryCloudSink
 from microfarm.telemetry import (
     EdgeStore,
     FileCloudSink,
     ForwardBusyError,
-    InMemoryCloudSink,
     IntegrityError,
     SensorReading,
     StorageError,
