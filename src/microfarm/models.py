@@ -5,20 +5,21 @@ training-set scaling, fit one independent regressor per plant column,
 predict continuous scores, then round and clamp to ratings in 1..5.
 A RandomForest draws one substream per tree index t from the master seed,
 shared by every plant column: its bootstrap rows, then one sequence of
-candidate-feature sets, of which tree t's r-th node that may split (in
-that tree's own depth-first order) searches the r-th.  So permuting label
-columns permutes predictions and nothing else.  The forest grows in groups
-of whole tree indices, each with all its plant trees, so a tree index's
-rows and candidate sets are decoded once and dropped with its group.
+candidate-feature sets, of which tree t's r-th node that may split, in
+level order (by depth, then by the parent's rank, the left child before
+the right), searches the r-th.  So permuting label columns permutes
+predictions and nothing else.  The forest grows in groups of whole tree
+indices, each with all its plant trees, a level at a time, so a tree
+index's rows and candidate sets are decoded once and dropped with its group.
 
-A tree fit splits its plant columns into consecutive groups, one per CPU
-the process may run on and at most one per plant.  The caller grows the
-first group; every other group grows in a forked child process, which
-sends its packed trees back over a pipe (_in_workers), and the groups'
-ensembles are joined in plant order.  A plant's trees depend only on its
-own column, and a forest's also on the tree indices' seeds, which every
-group draws from afresh, so a model's bytes are the same on any number
-of CPUs.
+A tree fit of enough work (_FORK_WORK) splits its plant columns into
+consecutive groups, one per CPU the process may run on and at most one per
+plant.  The caller grows the first group; every other group grows in a
+forked child process, which sends its packed trees back over a pipe
+(_in_workers), and the groups' ensembles are joined in plant order.  A
+plant's trees depend only on its own column, and a forest's also on the
+tree indices' seeds, which every group draws from afresh, so a model's
+bytes are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -169,31 +170,31 @@ def _grow_trees(
     cands: list[_CandidateSets] | None = None,
     train_out: list[np.ndarray] | None = None,
 ) -> list[dict]:
-    """Greedy variance-reduction regression trees over binned features, grown a batch at a time.
+    """Greedy variance-reduction regression trees over binned features, grown a level at a time.
 
     Tree t fits labels[t] on the training rows rows[t] (repeats allowed),
     with at least min_leaf >= 1 rows per leaf.  Returns parallel node arrays
     per tree; internal nodes hold a feature index, a threshold and a left
     child (x <= threshold goes to left, else to left + 1), leaves hold
-    feature and left -1.  With cands, tree t's r-th node that may split
-    searches the features of cands[t].row(r); without, every feature.  With
-    train_out, each leaf value is scattered to train_out[t] at its rows.
+    feature and left -1.  A node may split when its depth is below
+    max_depth and it holds at least 2 * min_leaf rows.  With cands, tree t's
+    r-th node that may split, in level order (by depth, then by the parent's
+    rank, the left child before the right), searches the features of
+    cands[t].row(r); without, every feature.  With train_out, each leaf
+    value is scattered to train_out[t] at its rows.
 
-    Nodes are settled as they are made, a block at a time: their totals and
-    values, and whether they are leaves without a search (too deep, too few
-    rows, or pure, below).  The others are searched a batch at a time, with
-    their trees, ids, depths, sizes and totals as arrays and their rows and
-    labels concatenated.  Without cands a batch is every pending node of
-    every tree, a whole level.  With cands it is each live tree's stack top,
-    so that every tree meets its nodes, and takes its candidate sets, in its
-    own depth-first order; a pure node leaves a marker on its stack that
-    takes its candidate set in turn.  A batch is scored in chunks, one
-    comparison per chunk sends each row to its node's side, and one gather
-    moves every side's rows and labels into the children.  A node's rows
-    thus stay in position order, so each bin adds the same values in the
-    same order as a bincount per node and feature would.  Children are
-    numbered as they are made, and at the end every tree is renumbered in
-    its own depth-first order (_depth_first), as if grown alone.
+    Nodes are settled as they are made, a block (one level of every tree)
+    at a time: their totals and values, their ranks, and whether they are
+    leaves without a search (unable to split, or pure, below).  The others
+    are the next batch, as in XGBoost's depth-wise growth, with their trees,
+    ids, depths, sizes, totals and ranks as arrays and their rows and labels
+    concatenated.  A batch is scored in chunks, one comparison per chunk
+    sends each row to its node's side, and one gather moves every side's
+    rows and labels into the children.  A node's rows thus stay in position
+    order, so each bin adds the same values in the same order as a bincount
+    per node and feature would.  Children are numbered as they are made, and
+    at the end every tree is renumbered in its own depth-first order
+    (_depth_first), as if grown alone.
 
     When every label array is integer-valued and max|y| times the most rows
     of a tree is below 2**26, every sum of labels is exact in any order, so
@@ -217,85 +218,63 @@ def _grow_trees(
     exact = all(np.array_equal(y, np.floor(y)) for y in distinct) and max(
         float(np.abs(y).max(initial=0.0)) for y in distinct
     ) * max(r.size for r in rows) < 2**26
+    if cands:
+        # trees share a number when they share a decoder (one per tree index)
+        owner = np.unique([id(c) for c in cands], return_inverse=True)[1]
+        n_ranked = np.zeros(n_trees, dtype=np.intp)  # per tree, its nodes ranked so far
 
     # the nodes the last step made, as one block (trees, ids, depths, sizes,
-    # rows, labels); ids count the nodes made so far, the roots first
-    roots, depth0 = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+    # places, rows, labels); ids count the nodes made so far, the roots
+    # first, and a node's place orders it within its tree's level
+    roots, zeros = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
     sizes = np.array([r.size for r in rows])
     subs = [y[r] for y, r in zip(labels, rows)]
-    made = (roots, roots, depth0, sizes, np.concatenate(rows), np.concatenate(subs))
+    made = (roots, roots, zeros, sizes, zeros, np.concatenate(rows), np.concatenate(subs))
     n_ids = n_trees
     # (trees, depths, values) of every node, by id: each block is settled
     # right after it is made, and its ids follow on from the last block's
     nodes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     splits: list[tuple] = []  # (ids, features, bins, left ids, right ids)
-    batch = None
-    if cands:
-        # per tree, the nodes left to search, and None for each leaf that may
-        # split, which takes its candidate set in turn
-        stacks: list[list] = [[] for _ in range(n_trees)]
-        n_grown = [0] * n_trees  # nodes that may split, so far, per tree
-        live = range(n_trees)
     while True:
-        if made is not None:
-            # settle the new nodes: their values, and which are leaves unsearched
-            tree, ids, depth, sizes, src, labs = made
-            ends = sizes.cumsum()
-            starts = ends - sizes
-            if exact:
-                totals = np.add.reduceat(labs, starts)
-            else:
-                totals = np.array([float(labs[a:b].sum()) for a, b in zip(starts.tolist(), ends.tolist())])
-            values = totals / sizes
-            nodes.append((tree, depth, values))
-            may = (depth < max_depth) & (sizes >= 2 * min_leaf)
-            grow = may
-            if exact:  # pure nodes are leaves
-                grow = may & (np.minimum.reduceat(labs, starts) != np.maximum.reduceat(labs, starts))
-            if train_out is not None and not grow.all():
-                _scatter(train_out, ~grow, tree, starts, src, sizes, values)
-            if cands:
-                # right children come first in a block, so each stack pops the left one first
-                for t, i, d, n, b, total, g, m in zip(
-                    *(x.tolist() for x in (tree, ids, depth, sizes, ends, totals, grow, may))
-                ):
-                    if g:
-                        stacks[t].append((t, i, d, n, total, src[b - n : b], labs[b - n : b]))
-                    elif m:
-                        stacks[t].append(None)
-            elif grow.any():
-                keep = np.repeat(grow, sizes)
-                batch = (*(x[grow] for x in (tree, ids, depth, sizes, totals)), src[keep], labs[keep])
-            made = None
-        # the batch: with cands each live tree's stack top, else every pending node
-        if cands:
-            live = [t for t in live if stacks[t]]
-            if not live:
-                break
-            top = []
-            for t in live:
-                while stacks[t]:
-                    node = stacks[t].pop()
-                    if node is not None:
-                        top.append(node)
-                        break
-                    n_grown[t] += 1
-            if not top:
-                continue
-            *head, totals, srcs, subs = zip(*top)
-            tree, ids, depth, sizes = np.array(head)
-            totals, src, labs = np.array(totals), np.concatenate(srcs), np.concatenate(subs)
-            feats = []
-            for t in head[0]:
-                feats.append(cands[t].row(n_grown[t]))
-                n_grown[t] += 1
-            cand = np.array(feats, dtype=np.intp)
-        elif batch is not None:
-            tree, ids, depth, sizes, totals, src, labs = batch
-            batch = None
-            cand = np.broadcast_to(all_features, (sizes.size, n_features))
+        # settle the new nodes: their values, ranks, and which are leaves unsearched
+        tree, ids, depth, sizes, place, src, labs = made
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        if exact:
+            totals = np.add.reduceat(labs, starts)
         else:
+            totals = np.array([float(labs[a:b].sum()) for a, b in zip(starts.tolist(), ends.tolist())])
+        values = totals / sizes
+        nodes.append((tree, depth, values))
+        grow = may = (depth < max_depth) & (sizes >= 2 * min_leaf)
+        if exact:  # pure nodes are leaves
+            grow = may & (np.minimum.reduceat(labs, starts) != np.maximum.reduceat(labs, starts))
+        if train_out is not None and not grow.all():
+            _scatter(train_out, ~grow, tree, starts, src, sizes, values)
+        if cands:
+            # rank the nodes that may split in tree, then place order
+            ranked = may.nonzero()[0]
+            ranked = ranked[np.lexsort((place[ranked], tree[ranked]))]
+            t = tree[ranked]
+            rank = np.empty(sizes.size, dtype=np.intp)
+            rank[ranked] = n_ranked[t] + np.arange(t.size) - np.searchsorted(t, t)
+            n_ranked += np.bincount(t, minlength=n_trees)
+        if not grow.any():
             break
+        # the batch: every node that grows
+        keep = np.repeat(grow, sizes)
+        tree, ids, depth, sizes, totals = (x[grow] for x in (tree, ids, depth, sizes, totals))
+        src, labs = src[keep], labs[keep]
+        if cands:
+            # the candidate sets, one gather per tree index
+            rank = rank[grow]
+            cand = np.empty((sizes.size, n_cand), dtype=np.intp)
+            by = np.argsort(owner[tree], kind="stable")
+            heads = np.flatnonzero(np.diff(owner[tree[by]], prepend=-1))
+            for group in np.split(by, heads[1:]):
+                cand[group] = cands[tree[group[0]]].row(rank[group])
+        else:
+            cand = np.broadcast_to(all_features, (sizes.size, n_features))
         ends = sizes.cumsum()
         starts = ends - sizes
         # score the nodes chunk by chunk, and send every row to its node's side
@@ -322,17 +301,20 @@ def _grow_trees(
         right = kept > left
         left &= kept
         s = split.nonzero()[0]
-        if s.size:
-            # the children, right ones first, each with its rows and labels in position order
-            n_left = np.add.reduceat(left, starts, dtype=np.intp)[s]
-            t, d = tree[s], depth[s] + 1
-            t, d = np.concatenate([t, t]), np.concatenate([d, d])
-            child = np.arange(n_ids, n_ids + 2 * s.size)
-            n_ids += 2 * s.size
-            splits.append((ids[s], cand[s, which[s]], at[s], child[s.size :], child[: s.size]))
-            order = np.concatenate([right.nonzero()[0], left.nonzero()[0]])
-            size = np.concatenate([sizes[s] - n_left, n_left])
-            made = (t, child, d, size, src.take(order), labs.take(order))
+        if not s.size:
+            break
+        # the children, right ones first, each with its rows and labels in position order
+        n_left = np.add.reduceat(left, starts, dtype=np.intp)[s]
+        t, d = tree[s], depth[s] + 1
+        t, d = np.concatenate([t, t]), np.concatenate([d, d])
+        child = np.arange(n_ids, n_ids + 2 * s.size)
+        n_ids += 2 * s.size
+        splits.append((ids[s], cand[s, which[s]], at[s], child[s.size :], child[: s.size]))
+        order = np.concatenate([right.nonzero()[0], left.nonzero()[0]])
+        size = np.concatenate([sizes[s] - n_left, n_left])
+        # a left child's place is twice its parent's rank, a right child's one more
+        place = np.concatenate([2 * rank[s] + 1, 2 * rank[s]]) if cands else None
+        made = (t, child, d, size, place, src.take(order), labs.take(order))
     return _depth_first(nodes, splits, thresholds, n_trees)
 
 
@@ -480,10 +462,12 @@ def _ensemble_scores(ens: dict, xs: np.ndarray) -> np.ndarray:
 
     For a block of rows, all (tree, row) pairs descend together, one
     vectorised step per depth level, until each reaches a leaf.  With divisor
-    1 (one tree per plant, or boosting) the leaf values are then summed in
-    tree order starting from the bias.  Otherwise (a forest's mean, bias 0
-    and scale 1) the sum is NumPy's over the trees, the reduction np.mean
-    makes, which is pairwise rather than running for a single row.
+    1 (one tree per plant, or boosting) the scaled leaf values are then
+    summed in tree order starting from the bias, by one np.cumsum along the
+    tree axis in place, which adds strictly left to right.  Otherwise (a
+    forest's mean, bias 0 and scale 1) the sum is NumPy's over the trees, the
+    reduction np.mean makes, which is pairwise rather than running for a
+    single row.
     """
     feature, threshold, left = ens["feature"], ens["threshold"], ens["left"]
     q, bias, trees = xs.shape[0], ens["bias"], ens["roots"].size
@@ -501,10 +485,10 @@ def _ensemble_scores(ens: dict, xs: np.ndarray) -> np.ndarray:
         leaf[:, i : i + rows] = ens["value"][node].reshape(trees, -1)
     leaf = leaf.reshape(bias.size, trees // bias.size, q)
     if ens["divisor"] == 1.0:
-        acc = np.repeat(bias[:, None], q, axis=1)
-        for t in range(leaf.shape[1]):
-            acc += ens["scale"] * leaf[:, t]
-        return acc.T
+        leaf *= ens["scale"]
+        leaf[:, 0] += bias[:, None]
+        np.cumsum(leaf, axis=1, out=leaf)
+        return np.ascontiguousarray(leaf[:, -1]).T
     return ((bias[:, None] + ens["scale"] * leaf.sum(axis=1)) / ens["divisor"]).T
 
 
@@ -573,7 +557,9 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
             "RandomForest": lambda part: _fit_forest(bins, edges, part, hp, seed),
             "GradientBoost": lambda part: _fit_gradient_boost(bins, edges, part, hp),
         }[kind]
-        parts = np.array_split(y, max(1, min(_cpus(), y.shape[1])), axis=1)
+        # rows x plants x trees per plant (a forest's trees, boosting's rounds, or one)
+        small = train.m * y.shape[1] * hp.get("trees", hp.get("rounds", 1)) < _FORK_WORK
+        parts = np.array_split(y, max(1, min(1 if small else _cpus(), y.shape[1])), axis=1)
         params = _join(_in_workers(grow, parts))
     return TrainedModel(
         kind=kind,
@@ -608,8 +594,9 @@ class _CandidateSets:
     """The feature sets that successive rng.choice(pop, size, replace=False) calls draw.
 
     row(r) equals np.sort(rng.choice(pop, size, replace=False)) on the
-    (r+1)-th such call from the generator's state at construction, as uint8;
-    a row once drawn is the same whichever caller asks for it first.
+    (r+1)-th such call from the generator's state at construction, as uint8,
+    and row of an index array those rows; a row once drawn is the same
+    whichever caller asks for it first.
 
     For pop <= 10000 NumPy samples without replacement by Floyd's algorithm
     (Bentley & Floyd, CACM 1987): for j = pop-size .. pop-1 it draws v in
@@ -628,11 +615,12 @@ class _CandidateSets:
         self.bounds = np.r_[pop - size + 1 : pop + 1, size:1:-1]
         self.sets = np.empty((0, size), np.uint8)
 
-    def row(self, r: int) -> np.ndarray:
-        if r >= len(self.sets):
+    def row(self, r: int | np.ndarray) -> np.ndarray:
+        need = int(np.max(r)) + 1 - len(self.sets)
+        if need > 0:
             # drawing ahead is safe only while nothing else draws from rng
             # once the sets start, as in a forest's tree-index substream
-            n = max(64, len(self.sets), r + 1 - len(self.sets))
+            n = max(64, len(self.sets), need)
             picked = self.rng.integers(0, np.tile(self.bounds, n)).reshape(n, -1)[:, : self.size]
             for c in range(1, self.size):
                 taken = (picked[:, :c] == picked[:, c, None]).any(axis=1)
@@ -683,6 +671,11 @@ def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) 
         rounds.append(_grow_trees(bins, edges, labels, rows, hp["tree_depth"], 1, train_out=out))
         residual = residual - lr * step
     return _pack([grown[j] for j in range(n_plants) for grown in rounds], init, lr, 1.0)
+
+
+# A tree fit forks only from this much work: below it the fork, the pickled
+# reply and the copy-on-write faults after it cost more than a child saves.
+_FORK_WORK = 100_000
 
 
 def _cpus() -> int:

@@ -218,9 +218,15 @@ def complete_matrix(s: SparseRatingMatrix, k: int = DEFAULT_NEIGHBORS) -> FullRa
             rows = missing[lo : lo + step]
             sims = unit[rows] @ rater_units  # ratings are >= 0, so similarities are too
             kth = np.partition(sims, kth_at, axis=1)[:, kth_at, None]
-            tied = sims == kth  # the lowest rows among them are kept; zeros weigh nothing
-            room = k - (sims > kth).sum(axis=1, keepdims=True)
-            w = sims * ((sims > kth) | tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room))
+            keep = sims >= kth
+            # rows keeping more than k: ties at a positive k-th keep their lowest rows
+            over = np.flatnonzero((np.count_nonzero(keep, axis=1) > k) & (kth[:, 0] > 0))
+            if over.size:
+                top, edge = sims[over], kth[over]
+                tied = top == edge
+                room = k - np.count_nonzero(top > edge, axis=1)[:, None]
+                keep[over] = (top > edge) | tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
+            w = np.multiply(sims, keep, out=sims)
             total = w.sum(axis=1)
             est = np.divide(w @ vals, total, out=np.full(rows.size, vals.mean()), where=total > 0)
             out[rows, j] = to_ratings(est)
@@ -375,13 +381,13 @@ def rating_header(n: int) -> list[str]:
 
 
 def write_rating_csv(path: str | Path, matrix: SparseRatingMatrix | FullRatingMatrix) -> None:
-    values = matrix.values
-    sparse = isinstance(matrix, SparseRatingMatrix)
+    rows = matrix.values.tolist()
+    if isinstance(matrix, SparseRatingMatrix):  # a missing cell is an empty field
+        rows = [[v or "" for v in row] for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(rating_header(values.shape[1]))
-        for row in values:
-            writer.writerow(["" if sparse and v == 0 else int(v) for v in row])
+        writer.writerow(rating_header(matrix.n))
+        writer.writerows(rows)
 
 
 def read_sparse_csv(path: str | Path) -> SparseRatingMatrix:

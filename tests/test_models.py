@@ -1,6 +1,7 @@
 """Per-plant regressors: fitting, prediction, persistence, ranking."""
 
 import base64
+import collections
 import hashlib
 import json
 import math
@@ -598,7 +599,9 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
     """One greedy variance-reduction tree, node by node; bins is rows x features.
 
     The reference for _grow_trees: every tree it grows, in any batch, must
-    equal this one bit for bit.
+    equal this one bit for bit.  Nodes are taken from a FIFO queue, so each
+    node that may split draws its candidate set in level order, and the tree
+    is then renumbered in preorder.
     """
     n_features = bins.shape[1]
     feature, threshold, left, value = [], [], [], []
@@ -608,9 +611,9 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
             arr.append(v)
         return len(feature) - 1
 
-    stack = [(new_node(), np.arange(len(y)), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = collections.deque([(new_node(), np.arange(len(y)), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         sub = y[idx]
         count = idx.size
         total = float(sub.sum())
@@ -655,13 +658,21 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
         threshold[node] = float(edges[f][split_bin])
         lid, rid = new_node(), new_node()  # so rid is lid + 1
         left[node] = lid
-        stack.append((rid, idx[~go_left], depth + 1))
-        stack.append((lid, idx[go_left], depth + 1))
+        queue.append((lid, idx[go_left], depth + 1))
+        queue.append((rid, idx[~go_left], depth + 1))
+    # preorder numbering: the k-th node to split, in preorder, has children 2k + 1 and 2k + 2
+    new, stack = {0: 0}, [0]
+    while stack:
+        node = stack.pop()
+        if left[node] >= 0:
+            new[left[node]], new[left[node] + 1] = len(new), len(new) + 1
+            stack += [left[node] + 1, left[node]]
+    old = sorted(new, key=new.get)
     return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=np.float64),
-        "left": np.array(left, dtype=np.int64),
-        "value": np.array(value, dtype=np.float64),
+        "feature": np.array([feature[o] for o in old], dtype=np.int64),
+        "threshold": np.array([threshold[o] for o in old], dtype=np.float64),
+        "left": np.array([new[left[o]] if left[o] >= 0 else -1 for o in old], dtype=np.int64),
+        "value": np.array([value[o] for o in old], dtype=np.float64),
     }
 
 
@@ -849,7 +860,7 @@ def test_forests_on_integer_labels_equal_the_reference(
 
 # --- chunk edges inside a batch ----------------------------------------------
 
-# chunks of one node (16) or of a few (64, 256): a level or a step of these
+# chunks of one node (16) or of a few (64, 256): a level of these
 # small problems then spans several chunks, whose edges fall between nodes
 # of different trees
 _SMALL_CELLS = st.sampled_from([16, 64, 256])
@@ -916,6 +927,32 @@ def test_forests_grown_in_small_chunks_equal_the_reference(
         with mock.patch.object(models, "_STEP_CELLS", cells):
             got = models._fit_forest(bins, edges, y, hp, seed)
     _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=_raw_problem(plants=st.integers(2, 4)),
+    integer=st.booleans(),
+    trees=st.integers(1, 5),
+    max_depth=st.integers(1, 8),
+    n_sub=st.integers(1, 4),
+    group_trees=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_permuting_a_forests_plant_columns_permutes_its_predictions(
+    problem, integer, trees, max_depth, n_sub, group_trees, seed, data
+):
+    x, y = problem
+    y = np.round(y) if integer else y
+    perm = data.draw(st.permutations(range(y.shape[1])))
+    bins, edges = models._binned(x)
+    hp = dict(trees=trees, max_depth=max_depth, feature_subsample=n_sub, bootstrap=True)
+    with mock.patch.object(models, "_FOREST_ROWS", group_trees * y.shape[0] * y.shape[1]):
+        base = models._fit_forest(bins, edges, y, hp, seed)
+        swapped = models._fit_forest(bins, edges, y[:, perm], hp, seed)
+    want = models._ensemble_scores(base, x)[:, perm]
+    assert np.array_equal(models._ensemble_scores(swapped, x), want)
 
 
 def _pure_root(n, value, seed=0):
@@ -1171,17 +1208,18 @@ def test_default_forest_spanning_groups_equals_the_reference():
 
 
 # sha256 of the microfarm-model/2 text of default fits on
-# _fractional_dataset(60, seed=5), recorded from the node-by-node grower
+# _fractional_dataset(60, seed=5), recorded from the node-by-node grower,
+# the forest's with candidate sets taken in level order
 SAVED_DIGESTS = {
     "DecisionTree": "8ef2eeeca16ea90d11da8556c3a78554b1e6e334516371e2b3361baa402bcadb",
-    "RandomForest": "79fc2f033e6018add80a9d726cbb3bdc61d4272baf69b1d28a4cd1b0071ea46c",
+    "RandomForest": "af9cf149feae78419275de5688ddf2355496d01ec726b69064bf8b03d54eba8e",
     "GradientBoost": "50b929184115f1472d530e20df0d38875919da9a59329e8e987db3cc9067d071",
 }
 
 # sha256 of the save_model (microfarm-model/5) file of the same fits
 SAVED_FILE_DIGESTS = {
     "DecisionTree": "4ffc890d7744681c6f667048cdf9d44c9afe4cc7cfff1bb8b83cdef3d792b922",
-    "RandomForest": "fd85ed021c41b4d03a114018dc8a826bd4e2702eb6a7698bb1470fb602401436",
+    "RandomForest": "588203bfa2f07389c9476efa5249300157ced96920410eb94d3ec7892814e1e0",
     "GradientBoost": "bffb41cae839525b16b01dbcd54c48537a530271f4191894d4e5cf7a757c0863",
 }
 
@@ -1218,10 +1256,9 @@ def test_saved_tree_models_match_pinned_digests(kind, tmp_path):
 
 # sha256 of the microfarm-model/2 text of the default RandomForest fit on
 # the size-500 cell (400 training rows) of benchmark(sizes=(100, 500),
-# seed=0), recorded from the microfarm-model/3 code, whose file of this fit
-# had the sha256 (c95e2d20...) pinned from the forest that drew candidates
-# with Generator.choice
-SAVED_FOREST_500_DIGEST = "bd0251594553e308e897b890c8242f8490833e62268ce20e28225112b34598ab"
+# seed=0), recorded from the forest whose nodes take their candidate sets
+# in level order
+SAVED_FOREST_500_DIGEST = "f17476619f3e42659dd1468ba2ffdaa522d095b5f85c9438bf82fd9913fda316"
 
 
 def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
@@ -1248,8 +1285,9 @@ def test_boosting_of_a_benchmark_cell_matches_its_pinned_digest():
 
 
 # sha256 of curve.csv for benchmark(sizes=(100, 500), seed=0): every kind's
-# accuracy and MSE at both sizes, recorded from the depth-first grower
-SAVED_CURVE_DIGEST = "720c2949aac98d365f15c63a1edeb67e5b3209a23c46e4bafe336312af15f661"
+# accuracy and MSE at both sizes, recorded from the depth-first grower, the
+# forest's rows with candidate sets taken in level order
+SAVED_CURVE_DIGEST = "78dfa013b383e202700b471672a7d408d1bf77d491eb8369908581aee4d7c1ff"
 
 
 def test_curve_of_the_small_benchmark_matches_its_pinned_digest(tmp_path):
@@ -1268,8 +1306,13 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _on_cpus(n):
+    """Tree fits on n CPUs, forking however small the fit."""
+    return mock.patch.multiple(models, _cpus=lambda: n, _FORK_WORK=0)
+
+
 def _fit_with_workers(workers, *args, **kwargs):
-    with mock.patch.object(models, "_cpus", lambda: workers):
+    with _on_cpus(workers):
         model = fit(*args, **kwargs)
     _assert_no_child_left()
     return model
@@ -1301,6 +1344,15 @@ def test_small_fits_are_bitwise_equal_over_any_worker_count(kind, m, plants, int
     _assert_same_arrays(_fit_with_workers(workers, kind, data, seed=m, hyperparams=hp).params, want)
 
 
+def test_small_fits_stay_in_the_caller_and_large_ones_fork():
+    with mock.patch.object(models, "_cpus", lambda: 2), mock.patch.object(os, "fork", wraps=os.fork) as forks:
+        fit("DecisionTree", bench.cell(500, 1, seed=0)[0])
+        assert forks.call_count == 0
+        fit("GradientBoost", bench.cell(100, 0, seed=0)[0])
+        assert forks.call_count == 1
+    _assert_no_child_left()
+
+
 def _failing_in(where, action):
     """A stand-in for _fit_decision_tree that calls action() in the parent or in a child."""
     parent, grow = os.getpid(), models._fit_decision_tree
@@ -1317,7 +1369,7 @@ def test_a_child_exception_is_raised_in_the_parent_with_its_type():
     def fail():
         raise ValueError("raised in a tree worker")
 
-    with _failing_in("child", fail), mock.patch.object(models, "_cpus", lambda: 3):
+    with _failing_in("child", fail), _on_cpus(3):
         with pytest.raises(ValueError, match="raised in a tree worker"):
             fit("DecisionTree", _dataset())
     _assert_no_child_left()
@@ -1327,7 +1379,7 @@ def test_a_child_killed_without_a_result_is_a_child_process_error(tmp_path, caps
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
 
-    with _failing_in("child", die), mock.patch.object(models, "_cpus", lambda: 3):
+    with _failing_in("child", die), _on_cpus(3):
         with pytest.raises(ChildProcessError, match="without a result"):
             fit("DecisionTree", _dataset())
         _assert_no_child_left()
@@ -1346,7 +1398,7 @@ def test_a_parent_failing_inline_kills_and_reaps_every_child(exc):
     # the children would sleep a minute unless killed
     slow = _failing_in("child", lambda: time.sleep(60))
     start = time.monotonic()
-    with slow, _failing_in("parent", fail), mock.patch.object(models, "_cpus", lambda: 3):
+    with slow, _failing_in("parent", fail), _on_cpus(3):
         with pytest.raises(exc, match="parent's own group"):
             fit("DecisionTree", _dataset())
     _assert_no_child_left()
