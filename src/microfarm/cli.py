@@ -14,6 +14,7 @@ the deterministic learning curve).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -81,7 +82,9 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and reused by each main call."""
     common = _common_flags()
     parser = _Parser(
         prog="microfarm",

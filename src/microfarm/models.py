@@ -3,14 +3,16 @@
 Five model kinds share one lifecycle: standardize features with the
 training-set scaling, fit one independent regressor per plant column,
 predict continuous scores, then round and clamp to ratings in 1..5.
-A RandomForest draws one substream per tree index t from the master seed,
-shared by every plant column: its bootstrap rows, then one sequence of
-candidate-feature sets, of which tree t's r-th node that may split, in
-level order (by depth, then by the parent's rank, the left child before
-the right), searches the r-th.  So permuting label columns permutes
+Trees number their nodes in level order, as they grow: by depth, then by
+the parent's number, the left child before the right.  A RandomForest
+draws one substream per tree index t from the master seed, shared by every
+plant column: its bootstrap rows, then in one call an index into the table
+of feature subsets for each node that may split, as many as a tree of its
+rows and depth can have.  Tree t's r-th such node, in level order, searches
+the subset of the r-th draw.  So permuting label columns permutes
 predictions and nothing else.  The forest grows in groups of whole tree
 indices, each with all its plant trees, a level at a time, so a tree
-index's rows and candidate sets are decoded once and dropped with its group.
+index's rows and draws are made once and dropped with its group.
 
 A tree fit of enough work (_FORK_WORK) splits its plant columns into
 consecutive groups, one per CPU the process may run on and at most one per
@@ -24,6 +26,7 @@ bytes are the same on any number of CPUs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -167,34 +170,35 @@ def _grow_trees(
     rows: list[np.ndarray],
     max_depth: int,
     min_leaf: int,
-    cands: list[_CandidateSets] | None = None,
+    cands: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     train_out: list[np.ndarray] | None = None,
 ) -> list[dict]:
     """Greedy variance-reduction regression trees over binned features, grown a level at a time.
 
     Tree t fits labels[t] on the training rows rows[t] (repeats allowed),
     with at least min_leaf >= 1 rows per leaf.  Returns parallel node arrays
-    per tree; internal nodes hold a feature index, a threshold and a left
-    child (x <= threshold goes to left, else to left + 1), leaves hold
-    feature and left -1.  A node may split when its depth is below
-    max_depth and it holds at least 2 * min_leaf rows.  With cands, tree t's
-    r-th node that may split, in level order (by depth, then by the parent's
-    rank, the left child before the right), searches the features of
-    cands[t].row(r); without, every feature.  With train_out, each leaf
-    value is scattered to train_out[t] at its rows.
+    per tree, its nodes numbered in level order: by depth, then by the
+    parent's number, the left child before the right.  Internal nodes hold
+    a feature index, a threshold and a left child (x <= threshold goes to
+    left, else to left + 1), leaves hold feature and left -1.  A node may
+    split when its depth is below max_depth and it holds at least
+    2 * min_leaf rows.  With cands = (table, draws, owner), tree t's r-th
+    node that may split, in level order, searches the features
+    table[draws[owner[t], r]]; without, every feature.  With train_out, each
+    leaf value is scattered to train_out[t] at its rows.
 
     Nodes are settled as they are made, a block (one level of every tree)
-    at a time: their totals and values, their ranks, and whether they are
+    at a time: their totals and values, their numbers, and whether they are
     leaves without a search (unable to split, or pure, below).  The others
     are the next batch, as in XGBoost's depth-wise growth, with their trees,
-    ids, depths, sizes, totals and ranks as arrays and their rows and labels
+    numbers, sizes and totals as arrays and their rows and labels
     concatenated.  A batch is scored in chunks, one comparison per chunk
     sends each row to its node's side, and one gather moves every side's
     rows and labels into the children.  A node's rows thus stay in position
     order, so each bin adds the same values in the same order as a bincount
-    per node and feature would.  Children are numbered as they are made, and
-    at the end every tree is renumbered in its own depth-first order
-    (_depth_first), as if grown alone.
+    per node and feature would.  A child's place is twice its parent's
+    number, one more for a right child, and one lexsort of a block by tree,
+    then place, numbers its nodes and ranks those that may split.
 
     When every label array is integer-valued and max|y| times the most rows
     of a tree is below 2**26, every sum of labels is exact in any order, so
@@ -206,7 +210,7 @@ def _grow_trees(
     cannot beat it by 1e-12.  It still counts as a node that may split.
     """
     n_trees, n_features = len(rows), bins.shape[0]
-    n_cand = cands[0].size if cands else n_features
+    n_cand = cands[0].shape[1] if cands else n_features
     all_features = np.arange(n_features)
     # the bins of every feature are padded to the widest
     width = max(e.size for e in edges) + 1
@@ -218,26 +222,22 @@ def _grow_trees(
     exact = all(np.array_equal(y, np.floor(y)) for y in distinct) and max(
         float(np.abs(y).max(initial=0.0)) for y in distinct
     ) * max(r.size for r in rows) < 2**26
-    if cands:
-        # trees share a number when they share a decoder (one per tree index)
-        owner = np.unique([id(c) for c in cands], return_inverse=True)[1]
-        n_ranked = np.zeros(n_trees, dtype=np.intp)  # per tree, its nodes ranked so far
+    # per tree, its nodes numbered so far, and of those the ones that may split
+    n_made, n_ranked = np.zeros(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
 
-    # the nodes the last step made, as one block (trees, ids, depths, sizes,
-    # places, rows, labels); ids count the nodes made so far, the roots
-    # first, and a node's place orders it within its tree's level
-    roots, zeros = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+    # the nodes the last step made, all at one depth, as one block (trees,
+    # sizes, places, rows, labels)
     sizes = np.array([r.size for r in rows])
     subs = [y[r] for y, r in zip(labels, rows)]
-    made = (roots, roots, zeros, sizes, zeros, np.concatenate(rows), np.concatenate(subs))
-    n_ids = n_trees
-    # (trees, depths, values) of every node, by id: each block is settled
-    # right after it is made, and its ids follow on from the last block's
-    nodes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    splits: list[tuple] = []  # (ids, features, bins, left ids, right ids)
-    while True:
-        # settle the new nodes: their values, ranks, and which are leaves unsearched
-        tree, ids, depth, sizes, place, src, labs = made
+    places = np.zeros(n_trees, dtype=np.intp)
+    made = (np.arange(n_trees), sizes, places, np.concatenate(rows), np.concatenate(subs))
+    nodes = []  # (trees, numbers, places, values) of every block
+    # (trees, numbers, features, bins) of the nodes that split; an empty
+    # first part, for a batch of trees none of which split
+    splits = [(np.empty(0, dtype=np.intp),) * 4]
+    for depth in itertools.count():
+        # settle the new nodes: their values, numbers, and which are leaves unsearched
+        tree, sizes, place, src, labs = made
         ends = sizes.cumsum()
         starts = ends - sizes
         if exact:
@@ -245,36 +245,26 @@ def _grow_trees(
         else:
             totals = np.array([float(labs[a:b].sum()) for a, b in zip(starts.tolist(), ends.tolist())])
         values = totals / sizes
-        nodes.append((tree, depth, values))
+        by = np.lexsort((place, tree))
+        num = _number(by, tree, n_made)
+        nodes.append((tree, num, place, values))
         grow = may = (depth < max_depth) & (sizes >= 2 * min_leaf)
         if exact:  # pure nodes are leaves
             grow = may & (np.minimum.reduceat(labs, starts) != np.maximum.reduceat(labs, starts))
         if train_out is not None and not grow.all():
             _scatter(train_out, ~grow, tree, starts, src, sizes, values)
-        if cands:
-            # rank the nodes that may split in tree, then place order
-            ranked = may.nonzero()[0]
-            ranked = ranked[np.lexsort((place[ranked], tree[ranked]))]
-            t = tree[ranked]
-            rank = np.empty(sizes.size, dtype=np.intp)
-            rank[ranked] = n_ranked[t] + np.arange(t.size) - np.searchsorted(t, t)
-            n_ranked += np.bincount(t, minlength=n_trees)
         if not grow.any():
             break
-        # the batch: every node that grows
-        keep = np.repeat(grow, sizes)
-        tree, ids, depth, sizes, totals = (x[grow] for x in (tree, ids, depth, sizes, totals))
-        src, labs = src[keep], labs[keep]
+        # the batch: every node that grows, with its candidate features
         if cands:
-            # the candidate sets, one gather per tree index
-            rank = rank[grow]
-            cand = np.empty((sizes.size, n_cand), dtype=np.intp)
-            by = np.argsort(owner[tree], kind="stable")
-            heads = np.flatnonzero(np.diff(owner[tree[by]], prepend=-1))
-            for group in np.split(by, heads[1:]):
-                cand[group] = cands[tree[group[0]]].row(rank[group])
+            table, draws, owner = cands
+            rank = _number(by[may[by]], tree, n_ranked)
+            cand = table[draws[owner[tree[grow]], rank[grow]]].astype(np.intp)
         else:
-            cand = np.broadcast_to(all_features, (sizes.size, n_features))
+            cand = np.broadcast_to(all_features, (np.count_nonzero(grow), n_features))
+        keep = np.repeat(grow, sizes)
+        tree, num, sizes, totals = (x[grow] for x in (tree, num, sizes, totals))
+        src, labs = src[keep], labs[keep]
         ends = sizes.cumsum()
         starts = ends - sizes
         # score the nodes chunk by chunk, and send every row to its node's side
@@ -303,67 +293,43 @@ def _grow_trees(
         s = split.nonzero()[0]
         if not s.size:
             break
+        splits.append((tree[s], num[s], cand[s, which[s]], at[s]))
         # the children, right ones first, each with its rows and labels in position order
         n_left = np.add.reduceat(left, starts, dtype=np.intp)[s]
-        t, d = tree[s], depth[s] + 1
-        t, d = np.concatenate([t, t]), np.concatenate([d, d])
-        child = np.arange(n_ids, n_ids + 2 * s.size)
-        n_ids += 2 * s.size
-        splits.append((ids[s], cand[s, which[s]], at[s], child[s.size :], child[: s.size]))
         order = np.concatenate([right.nonzero()[0], left.nonzero()[0]])
         size = np.concatenate([sizes[s] - n_left, n_left])
-        # a left child's place is twice its parent's rank, a right child's one more
-        place = np.concatenate([2 * rank[s] + 1, 2 * rank[s]]) if cands else None
-        made = (t, child, d, size, place, src.take(order), labs.take(order))
-    return _depth_first(nodes, splits, thresholds, n_trees)
+        t = np.concatenate([tree[s], tree[s]])
+        place = np.concatenate([2 * num[s] + 1, 2 * num[s]])
+        made = (t, size, place, src.take(order), labs.take(order))
+
+    # every tree's nodes, by number, from its own offset
+    first = np.r_[0, n_made.cumsum()]
+    tree, num, place, value = (np.concatenate(x) for x in zip(*nodes))
+    t, k, f, b = (np.concatenate(x) for x in zip(*splits))
+    n = first[-1]
+    out = dict(feature=np.full(n, -1), threshold=np.zeros(n), left=np.full(n, -1), value=np.empty(n))
+    out["value"][first[tree] + num] = value
+    out["feature"][first[t] + k] = f
+    out["threshold"][first[t] + k] = thresholds[f, b]
+    # a left child's place is twice its parent's number; the roots, at place 0, come first
+    child = np.flatnonzero(place % 2 == 0)[n_trees:]
+    out["left"][first[tree[child]] + place[child] // 2] = num[child]
+    return [{key: arr[lo:hi] for key, arr in out.items()} for lo, hi in zip(first, first[1:])]
+
+
+def _number(order: np.ndarray, tree: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Order's nodes (sorted by tree) numbered in turn per tree, from counts[tree]; counts advance."""
+    t = tree[order]
+    out = np.empty(tree.size, dtype=np.intp)
+    out[order] = counts[t] + np.arange(t.size) - np.searchsorted(t, t)
+    counts += np.bincount(t, minlength=counts.size)
+    return out
 
 
 def _scatter(train_out, leaves, tree, starts, src, sizes, values) -> None:
     """Each leaf's value to train_out[its tree] at the leaf's rows of src, leaf by leaf."""
     for t, a, n, v in zip(*(x[leaves].tolist() for x in (tree, starts, sizes, values))):
         train_out[t][src[a : a + n]] = v
-
-
-def _depth_first(nodes, splits, thresholds, n_trees) -> list[dict]:
-    """Per-tree node arrays, each tree numbered in its own depth-first order.
-
-    nodes lists the (trees, depths, values) of the nodes in id order, and
-    splits the (ids, features, bins, left ids, right ids) of the nodes that
-    split.  The k-th node of a tree to split, in preorder, numbers its
-    children 2k + 1 and 2k + 2.  Counts of split nodes per subtree are summed
-    bottom-up, then each split node's preorder rank is passed down, one
-    depth at a time.
-    """
-    tree, depth, value = (np.concatenate(x) for x in zip(*nodes))
-    # an empty first part, for a batch of trees none of which split
-    node, f, b, lid, rid = (
-        np.concatenate(x) for x in zip((np.empty(0, dtype=np.intp),) * 5, *splits)
-    )
-    inner = np.zeros(tree.size, dtype=np.intp)  # split nodes per subtree
-    inner[node] = 1
-    order = np.argsort(depth[node], kind="stable")
-    levels = np.split(order, np.cumsum(np.bincount(depth[node]))[:-1])
-    for at in reversed(levels):
-        inner[node[at]] += inner[lid[at]] + inner[rid[at]]
-    rank = np.zeros(tree.size, dtype=np.intp)  # among the tree's split nodes, in preorder
-    new = np.zeros(tree.size, dtype=np.intp)
-    for at in levels:
-        k = rank[node[at]]
-        new[lid[at]], new[rid[at]] = 2 * k + 1, 2 * k + 2
-        rank[lid[at]], rank[rid[at]] = k + 1, k + 1 + inner[lid[at]]
-    first = np.cumsum(np.r_[0, 1 + 2 * inner[:n_trees]])
-    pos = first[tree] + new
-    out = dict(
-        feature=np.full(tree.size, -1),
-        threshold=np.zeros(tree.size),
-        left=np.full(tree.size, -1),
-        value=np.empty(tree.size),
-    )
-    out["value"][pos] = value
-    out["feature"][pos[node]] = f
-    out["threshold"][pos[node]] = thresholds[f, b]
-    out["left"][pos[node]] = new[lid]
-    return [{key: arr[lo:hi] for key, arr in out.items()} for lo, hi in zip(first, first[1:])]
 
 
 def _chunks(sizes: list[int], n_cand: int, width: int):
@@ -590,45 +556,6 @@ def _fit_decision_tree(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) -
     return _pack(trees, np.zeros(n_plants), 1.0, 1.0)
 
 
-class _CandidateSets:
-    """The feature sets that successive rng.choice(pop, size, replace=False) calls draw.
-
-    row(r) equals np.sort(rng.choice(pop, size, replace=False)) on the
-    (r+1)-th such call from the generator's state at construction, as uint8,
-    and row of an index array those rows; a row once drawn is the same
-    whichever caller asks for it first.
-
-    For pop <= 10000 NumPy samples without replacement by Floyd's algorithm
-    (Bentley & Floyd, CACM 1987): for j = pop-size .. pop-1 it draws v in
-    [0, j] and takes v, or j when v is already taken.  It then shuffles the
-    sample (Fisher-Yates) with draws in [0, i] for i = size-1 .. 1, made and
-    discarded here, since the rows are sorted.  Given those bounds as an
-    array, rng.integers makes the same draws in the same order.
-    """
-
-    def __init__(self, rng: np.random.Generator, pop: int, size: int) -> None:
-        # uint8 rows; NumPy takes Floyd's branch for every pop up to 10000
-        if not 1 <= size < pop <= 256:
-            raise ValueError(f"decodes Floyd's branch for 1 <= size < pop <= 256, not {size}, {pop}")
-        self.rng, self.pop, self.size = rng, pop, size
-        # one call's exclusive bounds: Floyd's, then the shuffle's
-        self.bounds = np.r_[pop - size + 1 : pop + 1, size:1:-1]
-        self.sets = np.empty((0, size), np.uint8)
-
-    def row(self, r: int | np.ndarray) -> np.ndarray:
-        need = int(np.max(r)) + 1 - len(self.sets)
-        if need > 0:
-            # drawing ahead is safe only while nothing else draws from rng
-            # once the sets start, as in a forest's tree-index substream
-            n = max(64, len(self.sets), need)
-            picked = self.rng.integers(0, np.tile(self.bounds, n)).reshape(n, -1)[:, : self.size]
-            for c in range(1, self.size):
-                taken = (picked[:, :c] == picked[:, c, None]).any(axis=1)
-                picked[:, c] = np.where(taken, self.pop - self.size + c, picked[:, c])
-            self.sets = np.concatenate([self.sets, np.sort(picked, axis=1).astype(np.uint8)])
-        return self.sets[r]
-
-
 # A forest grows its trees in groups of whole tree indices, every plant's
 # tree of each, whose bootstrap samples hold at most this many rows together
 # (or one tree index's), which bounds the rows in flight.
@@ -637,21 +564,28 @@ _FOREST_ROWS = 1 << 16
 
 def _fit_forest(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict, seed: int) -> dict:
     m, n_plants = y.shape
-    n_sub, n_features = hp["feature_subsample"], bins.shape[0]
+    n_features = bins.shape[0]
+    # the feature subsets a node may search: each tree index draws one per node that may split
+    size = min(hp["feature_subsample"], n_features)
+    table = np.array(list(itertools.combinations(range(n_features), size)), dtype=np.uint8)
+    # a tree has at most 2**max_depth - 1 nodes that may split, and at most
+    # 3m/2: at most m - 1 split, and each other one holds 2 rows or more
+    n_draws = min(3 * m // 2, 2 ** min(hp["max_depth"], m.bit_length() + 1) - 1)
     seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
     per_group = max(1, _FOREST_ROWS // (m * n_plants))
     trees = []  # tree-major
     for first in range(0, hp["trees"], per_group):
-        rows, cands = [], []
+        rows, draws = [], []
         for child in seeds[first : first + per_group]:
             # one substream per tree index, identical for every plant
             rng = np.random.default_rng(child)
             boot = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
             rows += [boot.astype(np.int32)] * n_plants  # int32 halves the rows in flight
-            if n_sub < n_features:
-                cands += [_CandidateSets(rng, n_features, n_sub)] * n_plants
-        labels = [y[:, j] for j in range(n_plants)] * (len(rows) // n_plants)
-        trees += _grow_trees(bins, edges, labels, rows, hp["max_depth"], 1, cands=cands or None)
+            draws.append(rng.integers(0, len(table), size=n_draws))
+        labels = [y[:, j] for j in range(n_plants)] * len(draws)
+        owner = np.repeat(np.arange(len(draws)), n_plants)
+        cands = (table, np.array(draws), owner)
+        trees += _grow_trees(bins, edges, labels, rows, hp["max_depth"], 1, cands=cands)
     plant_major = [trees[t * n_plants + j] for j in range(n_plants) for t in range(hp["trees"])]
     return _pack(plant_major, np.zeros(n_plants), 1.0, hp["trees"])
 

@@ -107,6 +107,22 @@ def test_lora_sim_rejects_hostile_scenario(case, tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
+def test_main_parses_bad_and_good_argv_alike_in_one_process(tmp_path, capsys):
+    # main reuses one parser, which an argv error must leave as it was
+    bad = ["recommend", str(_model_file(tmp_path)), "--soil", "40", "55"]
+    errors = []
+    for argv in (bad, [*bad, "60", "21.5", "6.4", "--out", str(tmp_path), "--quiet"], bad):
+        if argv is bad:
+            with pytest.raises(SystemExit, match="^2$"):
+                cli.main(argv)
+            errors.append(_err_line(capsys))
+        else:
+            assert cli.main(argv) == 0 and capsys.readouterr().err == ""
+    assert errors[0] == errors[1] and "--soil" in errors[0]
+    assert (tmp_path / "recommendation.json").exists()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_gen_data_writes_three_csvs(tmp_path):
     assert run("gen-data", "--num-soils", 30, "--sparsity", 0.2, "--seed", 3, "--out", tmp_path) == 0
     soils = (tmp_path / "soils.csv").read_text().splitlines()

@@ -3,6 +3,7 @@
 import base64
 import collections
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -595,13 +596,13 @@ def test_save_replaces_the_file_whole(tmp_path, monkeypatch):
 # --- tree growth against the one-tree-at-a-time reference ---------------------
 
 
-def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=None, train_out=None):
+def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, sets=None, train_out=None):
     """One greedy variance-reduction tree, node by node; bins is rows x features.
 
     The reference for _grow_trees: every tree it grows, in any batch, must
-    equal this one bit for bit.  Nodes are taken from a FIFO queue, so each
-    node that may split draws its candidate set in level order, and the tree
-    is then renumbered in preorder.
+    equal this one bit for bit.  Nodes are taken from a FIFO queue and
+    numbered as they are made, which is level order, so with sets the r-th
+    node that may split searches the features of sets[r].
     """
     n_features = bins.shape[1]
     feature, threshold, left, value = [], [], [], []
@@ -612,6 +613,7 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
         return len(feature) - 1
 
     queue = collections.deque([(new_node(), np.arange(len(y)), 0)])
+    sets = None if sets is None else iter(sets)
     while queue:
         node, idx, depth = queue.popleft()
         sub = y[idx]
@@ -622,10 +624,7 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
             if train_out is not None:
                 train_out[idx] = value[node]
             continue
-        if rng is not None and n_sub is not None and n_sub < n_features:
-            cand = np.sort(rng.choice(n_features, size=n_sub, replace=False))
-        else:
-            cand = range(n_features)
+        cand = range(n_features) if sets is None else next(sets)
         parent_score = total * total / count
         best = None  # (score, feature, split bin)
         for f in cand:
@@ -660,20 +659,17 @@ def _reference_grow_tree(bins, y, edges, max_depth, min_leaf, rng=None, n_sub=No
         left[node] = lid
         queue.append((lid, idx[go_left], depth + 1))
         queue.append((rid, idx[~go_left], depth + 1))
-    # preorder numbering: the k-th node to split, in preorder, has children 2k + 1 and 2k + 2
-    new, stack = {0: 0}, [0]
-    while stack:
-        node = stack.pop()
-        if left[node] >= 0:
-            new[left[node]], new[left[node] + 1] = len(new), len(new) + 1
-            stack += [left[node] + 1, left[node]]
-    old = sorted(new, key=new.get)
     return {
-        "feature": np.array([feature[o] for o in old], dtype=np.int64),
-        "threshold": np.array([threshold[o] for o in old], dtype=np.float64),
-        "left": np.array([new[left[o]] if left[o] >= 0 else -1 for o in old], dtype=np.int64),
-        "value": np.array([value[o] for o in old], dtype=np.float64),
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "left": np.array(left, dtype=np.int64),
+        "value": np.array(value, dtype=np.float64),
     }
+
+
+def _feature_subsets(size):
+    """Every subset of size of the 5 features, each in ascending order, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(5), size)), dtype=np.uint8)
 
 
 def _reference_fit(kind, bins, edges, y, hp, seed=0):
@@ -688,16 +684,17 @@ def _reference_fit(kind, bins, edges, y, hp, seed=0):
         return models._pack(trees, np.zeros(n_plants), 1.0, 1.0)
     if kind == "RandomForest":
         seeds = np.random.SeedSequence(seed).spawn(hp["trees"])
+        table = _feature_subsets(min(hp["feature_subsample"], 5))
         trees = []
         for j in range(n_plants):
             for t in range(hp["trees"]):
                 rng = np.random.default_rng(seeds[t])
                 rows = rng.integers(0, m, size=m) if hp["bootstrap"] else np.arange(m)
+                # no tree has more nodes that may split; a longer call's first
+                # draws are those of a shorter one
+                sets = table[rng.integers(0, len(table), size=3 * m // 2)]
                 trees.append(
-                    _reference_grow_tree(
-                        bins[rows], y[rows, j], edges, hp["max_depth"], 1,
-                        rng=rng, n_sub=hp["feature_subsample"],
-                    )
+                    _reference_grow_tree(bins[rows], y[rows, j], edges, hp["max_depth"], 1, sets=sets)
                 )
         return models._pack(trees, np.zeros(n_plants), 1.0, hp["trees"])
     init, trees, step = np.empty(n_plants), [], np.empty(m)
@@ -1081,81 +1078,7 @@ def test_kept_edges_narrow_the_histogram_of_a_small_training_set():
     assert max(e.size for e in edges) < train.m
 
 
-# --- candidate sets decoded from the generator's words ----------------------
-
-
-def _untemper(y):
-    """The MT19937 state word whose tempered output is y."""
-    y ^= y >> 18
-    y ^= (y << 15) & 0xEFC60000
-    x = y
-    for _ in range(5):
-        x = y ^ ((x << 7) & 0x9D2C5680)
-    y = x & 0xFFFFFFFF
-    x = y
-    for _ in range(3):
-        x = y ^ (x >> 11)
-    return x & 0xFFFFFFFF
-
-
-def _generator_of_words(words):
-    """A Generator whose next 32-bit outputs are words, then MT19937's own."""
-    bit_gen = np.random.MT19937(0)
-    key = bit_gen.state["state"]["key"].copy()
-    key[: len(words)] = [_untemper(w) for w in words]
-    bit_gen.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-    return np.random.Generator(bit_gen)
-
-
-def _assert_rows_are_choice_calls(sets, rng, pop, size, calls):
-    for k in range(calls):
-        want = np.sort(rng.choice(pop, size, replace=False))
-        got = sets.row(k)
-        assert got.dtype == np.uint8
-        assert got.tolist() == want.tolist(), k
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    pop=st.integers(2, 12),
-    seed=st.integers(0, 2**64 - 1),
-    prefix=st.integers(0, 9),
-    high=st.integers(1, 2**40),
-)
-def test_candidate_sets_are_the_sorted_choice_calls(pop, seed, prefix, high):
-    for size in range(1, pop):
-        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
-        # a bootstrap before the draws; an odd number of 32-bit draws leaves
-        # half of a 64-bit output buffered
-        for rng in (want, got):
-            rng.integers(0, high, size=prefix)
-        _assert_rows_are_choice_calls(models._CandidateSets(got, pop, size), want, pop, size, 200)
-
-
-# words that Lemire's rule rejects for some bounds in 2..12: 0 for every
-# bound that is not a power of two, 2**31 for 6, 10 and 12
-_HOSTILE_WORD = st.one_of(st.sampled_from([0, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    pop=st.integers(2, 12),
-    data=st.data(),
-    words=st.lists(_HOSTILE_WORD, max_size=400),
-)
-def test_candidate_sets_redraw_rejected_words_as_choice_does(pop, data, words):
-    size = data.draw(st.integers(1, pop - 1))
-    sets = models._CandidateSets(_generator_of_words(words), pop, size)
-    _assert_rows_are_choice_calls(sets, _generator_of_words(words), pop, size, 120)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(150)))
-def test_candidate_rows_do_not_depend_on_which_row_is_asked_first(seed, order):
-    ahead = models._CandidateSets(np.random.default_rng(seed), 5, 2)
-    asked = {r: ahead.row(r).tolist() for r in order}
-    in_turn = models._CandidateSets(np.random.default_rng(seed), 5, 2)
-    assert [asked[r] for r in range(150)] == [in_turn.row(r).tolist() for r in range(150)]
+# --- candidate sets drawn from the table of feature subsets -----------------
 
 
 @settings(max_examples=30, deadline=None)
@@ -1163,14 +1086,14 @@ def test_candidate_rows_do_not_depend_on_which_row_is_asked_first(seed, order):
 def test_shared_candidate_sets_serve_every_plant_tree_alike(problem, seed):
     bins, edges, y = problem
     m, n_plants = y.shape
+    table = _feature_subsets(2)
+    draws = np.random.default_rng(seed).integers(0, len(table), size=(1, 3 * m // 2))
 
     def grow(order):
-        # one decoder for all the plant trees, which ask for rows in turn
-        cands = models._CandidateSets(np.random.default_rng(seed), 5, 2)
+        # one row of draws, which every plant tree owns
         labels = [y[:, j] for j in order]
-        trees = models._grow_trees(
-            bins, edges, labels, [np.arange(m)] * len(order), 8, 1, cands=[cands] * len(order)
-        )
+        cands = (table, draws, np.zeros(len(order), dtype=np.intp))
+        trees = models._grow_trees(bins, edges, labels, [np.arange(m)] * len(order), 8, 1, cands=cands)
         return dict(zip(order, trees))
 
     alone = {}
@@ -1182,10 +1105,19 @@ def test_shared_candidate_sets_serve_every_plant_tree_alike(problem, seed):
             _assert_same_arrays(shared[j], alone[j])
 
 
-@pytest.mark.parametrize("pop, size", [(5, 0), (5, 5), (2, 3), (257, 2)])
-def test_candidate_sets_refuse_what_they_cannot_decode(pop, size):
-    with pytest.raises(ValueError, match="Floyd's branch"):
-        models._CandidateSets(np.random.default_rng(0), pop, size)
+@settings(max_examples=30, deadline=None)
+@given(
+    problem=_binned_problem(),
+    max_depth=st.sampled_from([40, 10**6]),
+    n_sub=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_deep_forests_draw_as_many_candidate_sets_as_their_rows_allow(problem, max_depth, n_sub, seed):
+    # 2**max_depth - 1 draws could never be made, so the count must follow the rows
+    bins, edges, y = problem
+    hp = dict(trees=3, max_depth=max_depth, feature_subsample=n_sub, bootstrap=True)
+    got = models._fit_forest(bins, edges, y, hp, seed)
+    _assert_same_arrays(got, _reference_fit("RandomForest", bins, edges, y, hp, seed))
 
 
 def _fractional_dataset(m, seed):
@@ -1207,58 +1139,38 @@ def test_default_forest_spanning_groups_equals_the_reference():
     )
 
 
-# sha256 of the microfarm-model/2 text of default fits on
-# _fractional_dataset(60, seed=5), recorded from the node-by-node grower,
-# the forest's with candidate sets taken in level order
-SAVED_DIGESTS = {
-    "DecisionTree": "8ef2eeeca16ea90d11da8556c3a78554b1e6e334516371e2b3361baa402bcadb",
-    "RandomForest": "af9cf149feae78419275de5688ddf2355496d01ec726b69064bf8b03d54eba8e",
-    "GradientBoost": "50b929184115f1472d530e20df0d38875919da9a59329e8e987db3cc9067d071",
-}
-
-# sha256 of the save_model (microfarm-model/5) file of the same fits
+# sha256 of the save_model (microfarm-model/5) file of default fits on
+# _fractional_dataset(60, seed=5), every tree numbered in level order
 SAVED_FILE_DIGESTS = {
-    "DecisionTree": "4ffc890d7744681c6f667048cdf9d44c9afe4cc7cfff1bb8b83cdef3d792b922",
-    "RandomForest": "588203bfa2f07389c9476efa5249300157ced96920410eb94d3ec7892814e1e0",
-    "GradientBoost": "bffb41cae839525b16b01dbcd54c48537a530271f4191894d4e5cf7a757c0863",
+    "DecisionTree": "07865d5d0ab0d24067e0a818cf8ad77838b5adbc7887b384eec5729dfbef8f4a",
+    "RandomForest": "94d676dcd276a0c00c732ea6aa6ac48d45e60359a657b85d702359f51c3cf115",
+    "GradientBoost": "738aa30bda7114995b0c5e108a54d1fc2e8818b45170f264222bd4012a8d9869",
+}
+
+# sha256 of the predict_matrix scores of the same DecisionTree and
+# GradientBoost fits on the dataset's own rows, recorded from the grower that
+# renumbered every tree in its own depth-first order, so that a tree's
+# numbering cannot change a bit of what it predicts
+SAVED_SCORE_DIGESTS = {
+    "DecisionTree": "61ea39e4fb07400d7bbc898ad18db3dff5525661b8e773c9fbcc86e0bc30d969",
+    "GradientBoost": "7c97bea9a7f4caf0bd821bac7ca9118748b1d78c2a3ef607391f5b8c4a635830",
 }
 
 
-def _format_2_text(model):
-    """The document microfarm-model/2 wrote: every array as nested JSON lists.
-
-    /2 also stored each node's right child; it is re-derived as left + 1, in
-    the /2 key order, so that digests recorded from the node-by-node grower
-    check that every split's children are numbered in a row.
-    """
-    params = _with_right(model.params, _right)
-    doc = {
-        "format": "microfarm-model/2",
-        "kind": model.kind,
-        "hyperparams": model.hyperparams,
-        "scaling": {"mean": model.mean.tolist(), "std": model.std.tolist()},
-        "seed": model.seed,
-        "train_rows": model.train_rows,
-        "params": {key: val.tolist() for key, val in params.items()},
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-@pytest.mark.parametrize("kind", SAVED_DIGESTS)
+@pytest.mark.parametrize("kind", SAVED_FILE_DIGESTS)
 def test_saved_tree_models_match_pinned_digests(kind, tmp_path):
+    data = _fractional_dataset(60, seed=5)
     path = tmp_path / "model.json"
-    save_model(fit(kind, _fractional_dataset(60, seed=5), seed=11), path)
+    save_model(fit(kind, data, seed=11), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FILE_DIGESTS[kind]
-    # the decoded arrays are those the /2 format held, bit for bit
-    text = _format_2_text(load_model(path))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_DIGESTS[kind]
+    if kind in SAVED_SCORE_DIGESTS:
+        scores, _ = predict_matrix(load_model(path), data.features)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == SAVED_SCORE_DIGESTS[kind]
 
 
-# sha256 of the microfarm-model/2 text of the default RandomForest fit on
-# the size-500 cell (400 training rows) of benchmark(sizes=(100, 500),
-# seed=0), recorded from the forest whose nodes take their candidate sets
-# in level order
-SAVED_FOREST_500_DIGEST = "f17476619f3e42659dd1468ba2ffdaa522d095b5f85c9438bf82fd9913fda316"
+# sha256 of the save_model file of the default RandomForest fit on the
+# size-500 cell (400 training rows) of benchmark(sizes=(100, 500), seed=0)
+SAVED_FOREST_500_DIGEST = "26667ee7798b70ad945c452531e0c4eb8304003b9448d921b06118377d62c2bb"
 
 
 def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
@@ -1266,28 +1178,26 @@ def test_forest_of_a_benchmark_cell_matches_its_pinned_digest(tmp_path):
     assert train.m == 400
     path = tmp_path / "model.json"
     save_model(fit("RandomForest", train, seed=fit_seed), path)
-    text = _format_2_text(load_model(path))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_FOREST_500_DIGEST
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_FOREST_500_DIGEST
 
 
-# sha256 of the microfarm-model/2 text of the default GradientBoost fit on
-# the same size-500 cell (400 rows, 256 bins wide), recorded from the
-# depth-first grower, so that a grower of whole levels must number its
-# nodes as that one did
-SAVED_BOOST_500_DIGEST = "ae97ed35ce01db234fd8e5cb6be8efa14e414cf6a54eb8f53b7939c646e79658"
+# sha256 of the predict_matrix scores, on its test rows, of the default
+# GradientBoost fit on the same size-500 cell (400 rows, 256 bins wide),
+# recorded from the grower that renumbered every tree depth-first
+SAVED_BOOST_500_DIGEST = "a62d1c8366a08c5488a8e9b768613e45811180f2895523627e44b9e57eec86ac"
 
 
 def test_boosting_of_a_benchmark_cell_matches_its_pinned_digest():
-    train, _, fit_seed = bench.cell(500, 1, seed=0)
+    train, test, fit_seed = bench.cell(500, 1, seed=0)
     assert train.m == 400
-    text = _format_2_text(fit("GradientBoost", train, seed=fit_seed))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SAVED_BOOST_500_DIGEST
+    scores, _ = predict_matrix(fit("GradientBoost", train, seed=fit_seed), test.features)
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == SAVED_BOOST_500_DIGEST
 
 
 # sha256 of curve.csv for benchmark(sizes=(100, 500), seed=0): every kind's
-# accuracy and MSE at both sizes, recorded from the depth-first grower, the
-# forest's rows with candidate sets taken in level order
-SAVED_CURVE_DIGEST = "78dfa013b383e202700b471672a7d408d1bf77d491eb8369908581aee4d7c1ff"
+# accuracy and MSE at both sizes, the forest's rows from candidate sets drawn
+# from a table of feature subsets
+SAVED_CURVE_DIGEST = "1076a393ba363e64d2915315a21f63f7e367694aaa773c9ff43daf042ac1946a"
 
 
 def test_curve_of_the_small_benchmark_matches_its_pinned_digest(tmp_path):

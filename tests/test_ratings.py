@@ -270,7 +270,11 @@ def _tied_ratings(draw, exact=False):
     empty, and high sparsity leaves rows that share no rated plant with
     anyone.  With ``exact`` every row rates 0, 1 or 4 plants, so each unit
     row holds only 0, 1/2 or 1, and every similarity, weighted sum and mean
-    is exact in any summation order: ties are real ties.
+    is exact in any summation order: ties are real ties.  Half of those
+    start with a row that rates plant 0 alone and 13 raters of plants 0..3,
+    all at similarity 1/2 to it, the ones rating 1 before those rating 5:
+    more raters than any k tie at the k-th, and which k it keeps decides
+    its estimates.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 24))
@@ -291,6 +295,11 @@ def _tied_ratings(draw, exact=False):
     values[rng.random(m) < 0.1] = 0
     if not exact:
         values[:, rng.random(n) < 0.2] = 0
+    elif draw(st.booleans()):
+        tied = np.zeros((14, max(n, 4)), dtype=values.dtype)
+        tied[0, 0] = 3
+        tied[1:, :4] = np.where(np.arange(13) < draw(st.integers(1, 12)), 1, 5)[:, None]
+        values = np.vstack([tied, np.pad(values, ((0, 0), (0, tied.shape[1] - n)))])
     return SparseRatingMatrix(values)
 
 
