@@ -4,7 +4,6 @@ import json
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from microfarm import bench, cli
@@ -107,18 +106,30 @@ def test_lora_sim_rejects_hostile_scenario(case, tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
-def test_main_parses_bad_and_good_argv_alike_in_one_process(tmp_path, capsys):
+SOIL = ["--soil", "40", "55", "60", "21.5", "6.4"]
+
+# argv errors, each with a word its error line must hold; MODEL stands for a model file
+BAD_ARGVS = {
+    "short --soil": (["recommend", "MODEL", *SOIL[:3]], "--soil"),
+    "--soil with --soils-csv": (["recommend", "MODEL", *SOIL, "--soils-csv", "MODEL"], "not allowed"),
+    "fractional -n": (["recommend", "MODEL", *SOIL, "-n", "2.5"], "-n"),
+    "unknown subcommand": (["till"], "invalid choice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGVS))
+def test_main_parses_bad_and_good_argv_alike_in_one_process(case, tmp_path, capsys):
     # main reuses one parser, which an argv error must leave as it was
-    bad = ["recommend", str(_model_file(tmp_path)), "--soil", "40", "55"]
+    model = str(_model_file(tmp_path))
+    argv, word = BAD_ARGVS[case]
     errors = []
-    for argv in (bad, [*bad, "60", "21.5", "6.4", "--out", str(tmp_path), "--quiet"], bad):
-        if argv is bad:
-            with pytest.raises(SystemExit, match="^2$"):
-                cli.main(argv)
-            errors.append(_err_line(capsys))
-        else:
-            assert cli.main(argv) == 0 and capsys.readouterr().err == ""
-    assert errors[0] == errors[1] and "--soil" in errors[0]
+    for _ in range(2):
+        with pytest.raises(SystemExit, match="^2$"):
+            cli.main([model if a == "MODEL" else a for a in argv])
+        errors.append(_err_line(capsys))
+        assert cli.main(["recommend", model, *SOIL, "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+    assert errors[0] == errors[1] and word in errors[0]
     assert (tmp_path / "recommendation.json").exists()
     assert cli.build_parser() is cli.build_parser()
 
