@@ -4,6 +4,12 @@ For each dataset size a fresh synthetic dataset is generated with complete
 rating knowledge (sparsity 0), split 80/20, and every requested model kind
 is fitted and evaluated.  Timing columns are wall clock and vary between
 runs; the accuracy and MSE columns are deterministic per seed.
+
+A sweep with more than one tree cell (a DecisionTree, RandomForest or
+GradientBoost fit at one size) on more than one CPU shares those cells
+among the CPUs, largest first, through models._in_workers; each of those
+fits then grows in one process.  KNN and Linear cells call BLAS, which a
+forked child must not, so they always run in the calling process.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import models
 from .models import MODEL_KINDS, Dataset, ModelError, dataset_from_soils, evaluate, fit, split
 from .ratings import MAX_SOILS, generate_dataset
 
@@ -41,10 +48,12 @@ def benchmark(
     seed: int = 0,
     progress=None,
 ) -> list[BenchRow]:
-    """One BenchRow per (kind, size), sizes outermost, kinds in given order.
+    """One BenchRow per (kind, size) cell, sizes outermost, kinds in given order.
 
     train_ms times fit; infer_ms times evaluate, which scores the test set.
     Every size must be in 5..MAX_SOILS; a ModelError names the first that is not.
+    progress gets each row in cell order: as it is made when the cells run
+    in this process alone, else once the shared tree cells are all done.
     """
     kinds = tuple(kinds)
     unknown = [k for k in kinds if k not in MODEL_KINDS]
@@ -58,18 +67,31 @@ def benchmark(
     bad = [s for s in sizes if not 5 <= s <= MAX_SOILS]
     if bad:
         raise ModelError(f"sizes must be in 5..{MAX_SOILS}, got {bad[0]}")
+    cells = [cell(size, i, seed) for i, size in enumerate(sizes)]
+
+    def run(job: tuple[str, int]) -> BenchRow:
+        kind, i = job
+        train, test, fit_seed = cells[i]
+        start = time.perf_counter()
+        model = fit(kind, train, seed=fit_seed)
+        fitted = time.perf_counter()
+        accuracy, mse = evaluate(model, test)
+        train_ms, infer_ms = (fitted - start) * 1000.0, (time.perf_counter() - fitted) * 1000.0
+        return BenchRow(kind, sizes[i], accuracy, mse, train_ms, infer_ms)
+
+    jobs = [(kind, i) for i in range(len(sizes)) for kind in kinds]
+    trees = [job for job in jobs if job[0] not in ("KNN", "Linear")]
+    shared = {}
+    if min(models._cpus(), len(trees)) > 1:
+        # largest first, by the work measure that fit forks on
+        hp = models.DEFAULT_HYPERPARAMS
+        trees.sort(key=lambda job: models._fit_work(hp[job[0]], cells[job[1]][0]), reverse=True)
+        shared = dict(zip(trees, models._in_workers(run, trees)))
     rows = []
-    for i, size in enumerate(sizes):
-        train, test, fit_seed = cell(size, i, seed)
-        for kind in kinds:
-            start = time.perf_counter()
-            model = fit(kind, train, seed=fit_seed)
-            fitted = time.perf_counter()
-            accuracy, mse = evaluate(model, test)
-            train_ms, infer_ms = (fitted - start) * 1000.0, (time.perf_counter() - fitted) * 1000.0
-            rows.append(BenchRow(kind, size, accuracy, mse, train_ms, infer_ms))
-            if progress is not None:
-                progress(rows[-1])
+    for job in jobs:
+        rows.append(shared[job] if job in shared else run(job))
+        if progress is not None:
+            progress(rows[-1])
     return rows
 
 

@@ -21,7 +21,9 @@ forked child process, which sends its packed trees back over a pipe
 (_in_workers), and the groups' ensembles are joined in plant order.  A
 plant's trees depend only on its own column, and a forest's also on the
 tree indices' seeds, which every group draws from afresh, so a model's
-bytes are the same on any number of CPUs.
+bytes are the same on any number of CPUs.  A fit run as one task of a
+shared _in_workers call (a benchmark sweep's cell) grows in its own
+process: the CPUs are already shared among the tasks.
 """
 
 from __future__ import annotations
@@ -523,9 +525,8 @@ def fit(kind: str, train: Dataset, seed: int = 0, hyperparams: dict | None = Non
             "RandomForest": lambda part: _fit_forest(bins, edges, part, hp, seed),
             "GradientBoost": lambda part: _fit_gradient_boost(bins, edges, part, hp),
         }[kind]
-        # rows x plants x trees per plant (a forest's trees, boosting's rounds, or one)
-        small = train.m * y.shape[1] * hp.get("trees", hp.get("rounds", 1)) < _FORK_WORK
-        parts = np.array_split(y, max(1, min(1 if small else _cpus(), y.shape[1])), axis=1)
+        alone = _sharing or _fit_work(hp, train) < _FORK_WORK
+        parts = np.array_split(y, max(1, min(1 if alone else _cpus(), y.shape[1])), axis=1)
         params = _join(_in_workers(grow, parts))
     return TrainedModel(
         kind=kind,
@@ -612,6 +613,11 @@ def _fit_gradient_boost(bins: np.ndarray, edges: list, y: np.ndarray, hp: dict) 
 _FORK_WORK = 100_000
 
 
+def _fit_work(hp: dict, train: Dataset) -> int:
+    """A tree fit's work: rows x plants x trees per plant (a forest's trees, boosting's rounds or 1)."""
+    return train.m * train.n_plants * hp.get("trees", hp.get("rounds", 1))
+
+
 def _cpus() -> int:
     """The CPUs this process may run on, or 1 where it cannot fork."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -619,20 +625,37 @@ def _cpus() -> int:
     return 1
 
 
-def _in_workers(grow, parts: list) -> list:
-    """[grow(part) for part in parts]: the first inline, every other in a forked child.
+# Whether this process runs tasks of an _in_workers call that shares them
+# among processes, as its caller or as a forked child.  A fit then grows in
+# its own process, since every CPU already has a task.
+_sharing = False
 
-    A child sends back its result, or the exception it raised, as one pickle
-    over a pipe (_child).  The parent grows the first part meanwhile, then
-    reads each pipe to its end and reaps its child, in order.  It re-raises a
-    child's exception; a child that ends without a result (killed, or its
-    reply would not pickle) raises ChildProcessError.  However the call ends,
-    a KeyboardInterrupt included, it kills and reaps every child it has not
-    reaped, so none outlives it.
+
+def _in_workers(run, tasks: list) -> list:
+    """[run(task) for task in tasks], shared among one process per CPU, at most one per task.
+
+    The caller is worker 0; every other worker is a child made with
+    os.fork().  Worker w first runs task w, then every worker takes the next
+    task left, in order, from one _Queue whenever it finishes one (Graham's
+    list scheduling), so tasks given largest first even out the workers'
+    loads.  A child sends back its results, or the exception it raised, as
+    one pickle over a pipe (_child).  Once its own share is done, the caller
+    reads each pipe to its end and reaps its child, in fork order.  It
+    re-raises a child's exception; a child that ends without a result
+    (killed, or its reply would not pickle) raises ChildProcessError.
+    However the call ends, a KeyboardInterrupt included, it kills and reaps
+    every child it has not reaped, so none outlives it.
     """
+    global _sharing
+    workers = min(_cpus(), len(tasks))
+    if workers < 2:
+        return [run(task) for task in tasks]
+    out = [None] * len(tasks)
+    queue = _Queue(len(tasks), workers)
     children = {}  # pid: the read end of its pipe
     try:
-        for part in parts[1:]:
+        _sharing = True
+        for first in range(1, workers):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -641,10 +664,11 @@ def _in_workers(grow, parts: list) -> list:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(grow, part, r, w)
+                _child(run, tasks, first, queue, r, w)
             os.close(w)
             children[pid] = open(r, "rb")
-        out = [grow(parts[0])]
+        for i, result in _share(run, tasks, 0, queue):
+            out[i] = result
         for pid in list(children):
             reply = children[pid].read()
             status = os.waitpid(pid, 0)[1]
@@ -655,28 +679,102 @@ def _in_workers(grow, parts: list) -> list:
             ok, result = pickle.loads(reply)
             if not ok:
                 raise result
-            out.append(result)
+            for i, value in result:
+                out[i] = value
         return out
     finally:
+        _sharing = False
+        queue.close()
         for pid, pipe in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
 
 
-def _child(grow, part, r: int, w: int):
-    """In a forked child: send (True, grow(part)) or (False, its exception) down w, then exit.
+def _share(run, tasks: list, first: int, queue: _Queue):
+    """(i, run(tasks[i])) for i = first, then for each task number taken from queue."""
+    i = first
+    while i is not None:
+        yield i, run(tasks[i])
+        i = queue.take()
 
-    The child leaves only through os._exit, never back into its caller's
-    frames, atexit handlers or stdio buffers; its status is 0 only once the
-    whole reply is written.  grow must make no BLAS call, since a forked
-    child has none of its parent's BLAS threads; tree growth makes none.
+
+# A _Queue's pipe holds task numbers as int32, written at most 512 bytes
+# (POSIX's least PIPE_BUF) at a time, so that each write is atomic.
+_NUMBER = np.dtype(np.int32)
+_PER_WRITE = 512 // _NUMBER.itemsize
+
+
+class _Queue:
+    """The task numbers from workers to tasks - 1, taken in turn by forked workers over a pipe.
+
+    The process that makes the queue writes the numbers without blocking, in
+    atomic writes of whole numbers: each lands whole or not at all, so a
+    read of one number's bytes always takes one whole number, and a full
+    pipe never blocks the writer.  What does not fit yet is written each
+    time that process takes a number itself.  While some is left unwritten,
+    it takes the first unwritten number instead of reading, since the
+    children could empty the pipe before its read and leave it waiting for
+    its own writes.  Once every number is written it closes its write end;
+    children close theirs on start (leave), so a read that finds the pipe
+    empty means every number is taken.
+    """
+
+    def __init__(self, tasks: int, workers: int) -> None:
+        self._r, self._w = os.pipe()
+        os.set_blocking(self._w, False)
+        self._next, self._end = workers, tasks
+        self._fill()
+
+    def _fill(self) -> None:
+        while self._next < self._end:
+            chunk = np.arange(self._next, min(self._end, self._next + _PER_WRITE), dtype=_NUMBER)
+            try:
+                os.write(self._w, chunk)
+            except BlockingIOError:
+                return
+            self._next += chunk.size
+        self.leave()
+
+    def take(self) -> int | None:
+        """The next task number, or None once every one is taken."""
+        if self._w is not None:
+            self._fill()
+            if self._w is not None:  # no room in the pipe: take the first unwritten number
+                self._next += 1
+                if self._next == self._end:
+                    self.leave()
+                return self._next - 1
+        record = os.read(self._r, _NUMBER.itemsize)
+        return int(np.frombuffer(record, _NUMBER)[0]) if record else None
+
+    def leave(self) -> None:
+        """Close this process's write end: it writes no more numbers."""
+        if self._w is not None:
+            os.close(self._w)
+            self._w = None
+
+    def close(self) -> None:
+        self.leave()
+        os.close(self._r)
+
+
+def _child(run, tasks: list, first: int, queue: _Queue, r: int, w: int):
+    """In a forked child: send (True, its [(i, result)]) or (False, its exception) down w, then exit.
+
+    The child runs task first, then those it takes from queue (_share).  It
+    leaves only through os._exit, never back into its caller's frames,
+    atexit handlers or stdio buffers; its status is 0 only once the whole
+    reply is written.  run must make no BLAS call, since a forked child has
+    none of its parent's BLAS threads; tree growth and tree prediction make
+    none.
     """
     status = 1
     try:
         os.close(r)
+        queue.leave()
         try:
-            reply = (True, grow(part))
+            reply = (True, list(_share(run, tasks, first, queue)))
         except BaseException as exc:
             reply = (False, exc)
         with open(w, "wb") as pipe:

@@ -1274,17 +1274,28 @@ def _failing_in(where, action):
     return mock.patch.object(models, "_fit_decision_tree", fit_part)
 
 
-def test_a_child_exception_is_raised_in_the_parent_with_its_type():
+# runs that share tree work among 3 processes: a fit's plant columns, and a
+# sweep's 3 DecisionTree cells, one per process, each fit growing in its own
+_SHARED_RUNS = {
+    "fit": lambda: fit("DecisionTree", _dataset()),
+    "sweep": lambda: bench.benchmark(kinds=("DecisionTree",), sizes=(100, 300, 500)),
+}
+
+
+@pytest.mark.parametrize("shared", _SHARED_RUNS)
+def test_a_child_exception_is_raised_in_the_parent_with_its_type(shared):
     def fail():
         raise ValueError("raised in a tree worker")
 
     with _failing_in("child", fail), _on_cpus(3):
         with pytest.raises(ValueError, match="raised in a tree worker"):
-            fit("DecisionTree", _dataset())
+            _SHARED_RUNS[shared]()
     _assert_no_child_left()
 
 
-def test_a_child_killed_without_a_result_is_a_child_process_error(tmp_path, capsys):
+# one tree cell, which forks inside its fit, and three, shared by the sweep
+@pytest.mark.parametrize("sizes", ["100", "100,300,500"])
+def test_a_child_killed_without_a_result_is_a_child_process_error(sizes, tmp_path, capsys):
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -1292,15 +1303,16 @@ def test_a_child_killed_without_a_result_is_a_child_process_error(tmp_path, caps
         with pytest.raises(ChildProcessError, match="without a result"):
             fit("DecisionTree", _dataset())
         _assert_no_child_left()
-        argv = ["bench", "--sizes", "100", "--kinds", "DecisionTree", "--out", str(tmp_path), "--quiet"]
+        argv = ["bench", "--sizes", sizes, "--kinds", "DecisionTree", "--out", str(tmp_path), "--quiet"]
         assert cli.main(argv) != 0
     _assert_no_child_left()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: tree worker "), lines
 
 
+@pytest.mark.parametrize("shared", _SHARED_RUNS)
 @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-def test_a_parent_failing_inline_kills_and_reaps_every_child(exc):
+def test_a_parent_failing_inline_kills_and_reaps_every_child(exc, shared):
     def fail():
         raise exc("raised in the parent's own group")
 
@@ -1309,6 +1321,70 @@ def test_a_parent_failing_inline_kills_and_reaps_every_child(exc):
     start = time.monotonic()
     with slow, _failing_in("parent", fail), _on_cpus(3):
         with pytest.raises(exc, match="parent's own group"):
-            fit("DecisionTree", _dataset())
+            _SHARED_RUNS[shared]()
     _assert_no_child_left()
     assert time.monotonic() - start < 30
+
+
+def _sweep_on(cpus, **kwargs):
+    """benchmark(**kwargs) on cpus CPUs: its rows, the rows given to progress, and the forks made.
+
+    KNN and Linear call BLAS, which a forked child must not: one run in a child fails the sweep.
+    """
+    parent = os.getpid()
+
+    def in_caller(blas):
+        def call(*args):
+            if os.getpid() != parent:
+                raise AssertionError(f"{blas.__name__} ran in a forked child")
+            return blas(*args)
+
+        return call
+
+    seen = []
+    blas = {name: in_caller(getattr(models, name)) for name in ("_fit_linear", "_knn_scores")}
+    counted = mock.patch.object(os, "fork", wraps=os.fork)
+    with _on_cpus(cpus), mock.patch.multiple(models, **blas), counted as forks:
+        rows = bench.benchmark(progress=seen.append, **kwargs)
+    _assert_no_child_left()
+    return rows, seen, forks.call_count
+
+
+def test_a_sweep_gives_the_same_rows_on_any_number_of_cpus_and_forks_no_fit():
+    sizes = (100, 300, 500)
+    want = None
+    for cpus in (1, 2, 3, 4):
+        rows, seen, forks = _sweep_on(cpus, sizes=sizes)
+        assert seen == rows  # one call per row, in cell order
+        got = [(r.kind, r.size, r.accuracy, r.mse) for r in rows]
+        assert [cell[:2] for cell in got] == [(kind, size) for size in sizes for kind in MODEL_KINDS]
+        want = want or got
+        assert got == want
+        # nine tree cells: the caller shares them with cpus - 1 children, and no fit forks
+        assert forks == cpus - 1
+
+
+def test_a_sweep_of_fewer_tree_cells_than_cpus_forks_one_child_per_cell_but_one():
+    rows, seen, forks = _sweep_on(4, kinds=("KNN", "DecisionTree", "Linear"), sizes=(100, 300))
+    assert seen == rows and [(r.kind, r.size) for r in rows] == [
+        (kind, size) for size in (100, 300) for kind in ("KNN", "DecisionTree", "Linear")
+    ]
+    assert forks == 1
+
+
+def test_a_queue_longer_than_a_pipe_buffer_cannot_block():
+    # 400 KB of task numbers, against a pipe that holds 64 KiB
+    tasks = list(range(100_000))
+
+    def blocked(signum, frame):
+        raise TimeoutError("the task queue blocked")
+
+    handler = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(60)
+    try:
+        with _on_cpus(3):
+            assert models._in_workers(lambda i: i * i, tasks) == [i * i for i in tasks]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    _assert_no_child_left()
